@@ -1311,9 +1311,14 @@ fn drift_recovery(cluster: &Cluster, comm: &CommModel, quick: bool) {
             thawed.freeze().expect("perturbed graph stays a DAG")
         };
 
+        let observed_us: Vec<Option<f64>> = observed
+            .op_ids()
+            .map(|id| Some(observed.op(id).compute_us()))
+            .collect();
         let inc = match replace_after_drift(
-            &observed,
+            &graph,
             &expected,
+            &observed_us,
             cluster,
             *comm,
             &outcome.plan,

@@ -68,7 +68,7 @@ pub use formulation::{IlpConfig, IlpModel, IlpOutcome, MemoryRule};
 pub use hybrid::{
     CheckpointSink, HybridConfig, HybridOutcome, HybridSearchState, HybridSolver, RestartState,
 };
-pub use listsched::{etf_schedule, ListScheduleResult};
+pub use listsched::{etf_schedule, Evaluator, ListScheduleResult};
 pub use multi::{MultiGpuIlp, MultiGpuOutcome};
 pub use placer::{PestoPlacer, PlaceOutcome, PlacerConfig, SolvePath};
 pub use rng::SearchRng;

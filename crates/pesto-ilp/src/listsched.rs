@@ -3,12 +3,110 @@
 //! Given a placement, this module derives a good per-device execution order
 //! with an ETF (Earliest Task First) policy that accounts for sequential
 //! link capacity, and evaluates the resulting [`Plan`] on the discrete-event
-//! simulator. The hybrid solver uses this as its inner evaluation: placement
-//! local search outside, list scheduling + simulation inside.
+//! simulator. [`Evaluator`] wraps the two into the one placement cost every
+//! search scores candidates with: placement local search outside, list
+//! scheduling + simulation inside.
 
 use pesto_cost::CommModel;
 use pesto_graph::{Cluster, FrozenGraph, OpId, Placement, Plan, ScheduleOrder};
 use pesto_sim::{SimError, SimReport, Simulator};
+
+/// Scores placements against the paper's objective: the congestion-aware
+/// makespan `C_max` under device memory (§3.2). A placement's plan is its
+/// ETF list schedule ([`etf_schedule`]), simulated with memory checking
+/// off; its cost is that makespan plus, for every device whose memory it
+/// overflows, a penalty of the graph's total compute (at least 1 µs)
+/// scaled by `1 + overflow / capacity`. An overflowing device thus costs
+/// at least one more serial execution of the whole graph, while the
+/// search can still tell which infeasible placement is closer to fitting.
+///
+/// Every search in the system scores its candidates here: the hybrid
+/// annealing chains, the pipeline's group-flip refinement and fine
+/// schedule, and outage repair.
+///
+/// # Example
+///
+/// ```
+/// use pesto_graph::{OpGraph, DeviceKind, Cluster, Placement};
+/// use pesto_cost::CommModel;
+/// use pesto_ilp::Evaluator;
+///
+/// # fn main() -> Result<(), pesto_sim::SimError> {
+/// let mut g = OpGraph::new("fat");
+/// g.add_op("a", DeviceKind::Gpu, 10.0, 600);
+/// let b = g.add_op("b", DeviceKind::Gpu, 10.0, 600);
+/// let g = g.freeze().unwrap();
+/// let cluster = Cluster::homogeneous(2, 1000);
+/// let eval = Evaluator::new(&g, &cluster, CommModel::default_v100(), false);
+/// let mut spread = Placement::uniform(2, cluster.gpu(0));
+/// spread.set_device(b, cluster.gpu(1));
+/// let (_, fits) = eval.cost(&spread)?;
+/// let (_, overflows) = eval.cost(&Placement::uniform(2, cluster.gpu(0)))?;
+/// assert!((fits - 10.0).abs() < 1e-9);
+/// assert!(overflows > 20.0 + 20.0); // makespan + total-compute penalty
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct Evaluator<'a> {
+    graph: &'a FrozenGraph,
+    cluster: &'a Cluster,
+    comm: CommModel,
+    sim: Simulator<'a>,
+    horizon: f64,
+}
+
+impl<'a> Evaluator<'a> {
+    /// An evaluator for placements of `graph` on `cluster`.
+    /// `infinite_links` evaluates under the congestion-blind link model of
+    /// prior work ([`Simulator::with_infinite_links`]; the Figure 5
+    /// ablation); leave it `false` for faithful optimization.
+    pub fn new(
+        graph: &'a FrozenGraph,
+        cluster: &'a Cluster,
+        comm: CommModel,
+        infinite_links: bool,
+    ) -> Self {
+        Evaluator {
+            graph,
+            cluster,
+            comm,
+            sim: Simulator::new(graph, cluster, comm)
+                .with_memory_check(false)
+                .with_infinite_links(infinite_links),
+            horizon: graph.total_compute_us().max(1.0),
+        }
+    }
+
+    /// The ETF plan of `placement` and its simulated report.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError`] from plan validation or simulation.
+    pub fn schedule(&self, placement: Placement) -> Result<ListScheduleResult, SimError> {
+        etf_schedule(self.graph, self.cluster, &self.comm, placement, &self.sim)
+    }
+
+    /// The ETF plan of `placement` and its cost: the simulated makespan
+    /// plus the memory-overflow penalty.
+    ///
+    /// # Errors
+    ///
+    /// As [`Evaluator::schedule`].
+    pub fn cost(&self, placement: &Placement) -> Result<(Plan, f64), SimError> {
+        let sched = self.schedule(placement.clone())?;
+        let mut cost = sched.report.makespan_us;
+        let usage = placement.memory_per_device(self.graph, self.cluster);
+        for (d, &used) in usage.iter().enumerate() {
+            let cap = self.cluster.devices()[d].memory_bytes();
+            if used > cap {
+                let overflow_frac = (used - cap) as f64 / cap.max(1) as f64;
+                cost += self.horizon * (1.0 + overflow_frac);
+            }
+        }
+        Ok((sched.plan, cost))
+    }
+}
 
 /// Result of list scheduling + simulation for one placement.
 #[derive(Debug, Clone)]

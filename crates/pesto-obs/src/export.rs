@@ -104,12 +104,16 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Formats an `f64` as a JSON value (`null` when non-finite).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+/// Displays an `f64` as a JSON value (`null` when non-finite).
+struct JsonF64(f64);
+
+impl std::fmt::Display for JsonF64 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{}", self.0)
+        } else {
+            f.write_str("null")
+        }
     }
 }
 
@@ -122,61 +126,13 @@ fn span_args_json(span: &SpanRecord) -> String {
     format!("{{{}}}", fields.join(","))
 }
 
-fn event_fields(kind: &SolverEventKind) -> Vec<(&'static str, String)> {
-    match kind {
-        SolverEventKind::Incumbent { objective } => {
-            vec![("objective", json_f64(*objective))]
-        }
-        SolverEventKind::Gap {
-            incumbent,
-            best_bound,
-            relative_gap,
-            nodes_explored,
-        } => vec![
-            ("incumbent", json_f64(*incumbent)),
-            ("best_bound", json_f64(*best_bound)),
-            ("relative_gap", json_f64(*relative_gap)),
-            ("nodes_explored", format!("{nodes_explored}")),
-        ],
-        SolverEventKind::Anneal {
-            restart,
-            iteration,
-            temperature,
-            accept_rate,
-            best_cost,
-        } => vec![
-            ("restart", format!("{restart}")),
-            ("iteration", format!("{iteration}")),
-            ("temperature", json_f64(*temperature)),
-            ("accept_rate", json_f64(*accept_rate)),
-            ("best_cost", json_f64(*best_cost)),
-        ],
-        SolverEventKind::Degradation {
-            reason,
-            remaining_deadline_us,
-        } => vec![
-            ("reason", format!("\"{}\"", json_escape(reason))),
-            ("remaining_deadline_us", json_f64(*remaining_deadline_us)),
-        ],
-        SolverEventKind::Drift {
-            ops_flagged,
-            max_drift_frac,
-            threshold_frac,
-        } => vec![
-            ("ops_flagged", format!("{ops_flagged}")),
-            ("max_drift_frac", json_f64(*max_drift_frac)),
-            ("threshold_frac", json_f64(*threshold_frac)),
-        ],
-    }
-}
-
 fn span_json(span: &SpanRecord) -> String {
     format!(
         "{{\"name\":\"{}\",\"tid\":{},\"start_us\":{},\"dur_us\":{},\"args\":{}}}",
         json_escape(&span.name),
         span.tid,
-        json_f64(span.start_us),
-        json_f64(span.dur_us),
+        JsonF64(span.start_us),
+        JsonF64(span.dur_us),
         span_args_json(span),
     )
 }
@@ -193,7 +149,7 @@ fn metrics_snapshot_json(s: &MetricsSnapshot) -> String {
     let gauges: Vec<String> = s
         .gauges
         .iter()
-        .map(|(k, v)| format!("\"{}\":{}", json_escape(k), json_f64(*v)))
+        .map(|(k, v)| format!("\"{}\":{}", json_escape(k), JsonF64(*v)))
         .collect();
     let histograms: Vec<String> = s
         .histograms
@@ -203,11 +159,11 @@ fn metrics_snapshot_json(s: &MetricsSnapshot) -> String {
                 "\"{}\":{{\"count\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}",
                 json_escape(k),
                 h.count,
-                json_f64(h.mean),
-                json_f64(h.p50),
-                json_f64(h.p95),
-                json_f64(h.p99),
-                json_f64(h.max),
+                JsonF64(h.mean),
+                JsonF64(h.p50),
+                JsonF64(h.p95),
+                JsonF64(h.p99),
+                JsonF64(h.max),
             )
         })
         .collect();
@@ -219,23 +175,70 @@ fn metrics_snapshot_json(s: &MetricsSnapshot) -> String {
     )
 }
 
-fn event_json(event: &SolverEvent) -> String {
-    let mut fields = vec![
-        ("t_us".to_string(), json_f64(event.t_us)),
-        (
-            "source".to_string(),
-            format!("\"{}\"", json_escape(&event.source)),
-        ),
-        ("kind".to_string(), format!("\"{}\"", event.kind.tag())),
-    ];
-    for (k, v) in event_fields(&event.kind) {
-        fields.push((k.to_string(), v));
+impl SolverEvent {
+    /// Appends this event to `out` as one JSON object: `t_us`, `source`
+    /// and `kind`, then the kind's own fields. Non-finite numbers (an
+    /// infinite deadline slack, an incumbent before the first feasible
+    /// solution) are written as `null`, as `serde_json` does.
+    pub fn write_json(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"t_us\":{},\"source\":\"{}\",\"kind\":\"{}\"",
+            JsonF64(self.t_us),
+            json_escape(&self.source),
+            self.kind.tag()
+        );
+        let _ = match &self.kind {
+            SolverEventKind::Incumbent { objective } => {
+                write!(out, ",\"objective\":{}", JsonF64(*objective))
+            }
+            SolverEventKind::Gap {
+                incumbent,
+                best_bound,
+                relative_gap,
+                nodes_explored,
+            } => write!(
+                out,
+                ",\"incumbent\":{},\"best_bound\":{},\"relative_gap\":{},\"nodes_explored\":{nodes_explored}",
+                JsonF64(*incumbent),
+                JsonF64(*best_bound),
+                JsonF64(*relative_gap),
+            ),
+            SolverEventKind::Anneal {
+                restart,
+                iteration,
+                temperature,
+                accept_rate,
+                best_cost,
+            } => write!(
+                out,
+                ",\"restart\":{restart},\"iteration\":{iteration},\"temperature\":{},\"accept_rate\":{},\"best_cost\":{}",
+                JsonF64(*temperature),
+                JsonF64(*accept_rate),
+                JsonF64(*best_cost),
+            ),
+            SolverEventKind::Degradation {
+                reason,
+                remaining_deadline_us,
+            } => write!(
+                out,
+                ",\"reason\":\"{}\",\"remaining_deadline_us\":{}",
+                json_escape(reason),
+                JsonF64(*remaining_deadline_us),
+            ),
+            SolverEventKind::Drift {
+                ops_flagged,
+                max_drift_frac,
+                threshold_frac,
+            } => write!(
+                out,
+                ",\"ops_flagged\":{ops_flagged},\"max_drift_frac\":{},\"threshold_frac\":{}",
+                JsonF64(*max_drift_frac),
+                JsonF64(*threshold_frac),
+            ),
+        };
+        out.push('}');
     }
-    let body: Vec<String> = fields
-        .into_iter()
-        .map(|(k, v)| format!("\"{k}\":{v}"))
-        .collect();
-    format!("{{{}}}", body.join(","))
 }
 
 /// Chrome-trace counter track for an event kind, if it maps to one.
@@ -273,7 +276,7 @@ impl Obs {
         let Some(inner) = &self.inner else {
             return MetricsSnapshot::default();
         };
-        let registry = crate::lock_recover(&inner.registry);
+        let registry = inner.registry.lock();
         let mut snapshot = MetricsSnapshot {
             counters: registry.counters.clone(),
             gauges: registry.gauges.clone(),
@@ -285,7 +288,7 @@ impl Obs {
             }
         }
         drop(registry);
-        for span in crate::lock_recover(&inner.spans).iter() {
+        for span in inner.spans.lock().iter() {
             let entry = snapshot
                 .span_totals
                 .entry(span.name.clone())
@@ -382,7 +385,7 @@ impl Obs {
         let gauges: Vec<String> = snapshot
             .gauges
             .iter()
-            .map(|(k, v)| format!("    \"{}\": {}", json_escape(k), json_f64(*v)))
+            .map(|(k, v)| format!("    \"{}\": {}", json_escape(k), JsonF64(*v)))
             .collect();
         let _ = write!(out, "  \"gauges\": {{\n{}\n  }},\n", gauges.join(",\n"));
 
@@ -395,12 +398,12 @@ impl Obs {
                      \"mean\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
                     json_escape(k),
                     h.count,
-                    json_f64(h.min),
-                    json_f64(h.max),
-                    json_f64(h.mean),
-                    json_f64(h.p50),
-                    json_f64(h.p95),
-                    json_f64(h.p99),
+                    JsonF64(h.min),
+                    JsonF64(h.max),
+                    JsonF64(h.mean),
+                    JsonF64(h.p50),
+                    JsonF64(h.p95),
+                    JsonF64(h.p99),
                 )
             })
             .collect();
@@ -418,18 +421,18 @@ impl Obs {
                     "    \"{}\": {{\"count\": {}, \"total_us\": {}}}",
                     json_escape(k),
                     s.count,
-                    json_f64(s.total_us),
+                    JsonF64(s.total_us),
                 )
             })
             .collect();
         let _ = write!(out, "  \"spans\": {{\n{}\n  }},\n", spans.join(",\n"));
 
-        let events: Vec<String> = self
-            .solver_events()
-            .iter()
-            .map(|e| format!("    {}", event_json(e)))
-            .collect();
-        let _ = write!(out, "  \"solver_events\": [\n{}\n  ]\n", events.join(",\n"));
+        out.push_str("  \"solver_events\": [\n");
+        for (i, e) in self.solver_events().iter().enumerate() {
+            out.push_str(if i == 0 { "    " } else { ",\n    " });
+            e.write_json(&mut out);
+        }
+        out.push_str("\n  ]\n");
 
         out.push_str("}\n");
         out
@@ -459,18 +462,20 @@ impl Obs {
             .iter()
             .map(span_json)
             .collect();
-        let events: Vec<String> = self
-            .event_tail(crate::FLIGHT_DUMP_TAIL)
-            .iter()
-            .map(event_json)
-            .collect();
+        let mut events = String::new();
+        for (i, e) in self.event_tail(crate::FLIGHT_DUMP_TAIL).iter().enumerate() {
+            if i > 0 {
+                events.push(',');
+            }
+            e.write_json(&mut events);
+        }
         let snapshots: Vec<String> = self
             .flight_snapshots()
             .iter()
             .map(|s| {
                 format!(
                     "{{\"t_us\":{},\"metrics\":{}}}",
-                    json_f64(s.t_us),
+                    JsonF64(s.t_us),
                     metrics_snapshot_json(&s.metrics),
                 )
             })
@@ -479,12 +484,12 @@ impl Obs {
             "{{\"enabled\":true,\"captured_at_us\":{},\"dropped_spans\":{},\
              \"dropped_events\":{},\"lanes\":{{{}}},\"recent_spans\":[{}],\
              \"recent_events\":[{}],\"metric_snapshots\":[{}],\"metrics\":{}}}\n",
-            json_f64(self.elapsed_us()),
+            JsonF64(self.elapsed_us()),
             self.dropped_spans(),
             self.dropped_events(),
             lanes.join(","),
             spans.join(","),
-            events.join(","),
+            events,
             snapshots.join(","),
             metrics_snapshot_json(&self.metrics_snapshot()),
         )

@@ -73,6 +73,7 @@ mod export;
 mod metrics;
 mod prom;
 mod span;
+mod sync;
 
 pub use cancel::CancelToken;
 pub use events::{SolverEvent, SolverEventKind};
@@ -80,12 +81,13 @@ pub use export::{FlightSnapshot, HistogramStats, MetricsSnapshot, SpanTotal};
 pub use metrics::Registry;
 pub use prom::sanitize_prom_name;
 pub use span::{SpanGuard, SpanRecord};
+pub use sync::{wait_robust, RobustMutex};
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, MutexGuard, OnceLock, Weak};
 use std::time::Instant;
 
 /// Process-wide thread-lane allocator: each OS thread gets a stable small
@@ -244,26 +246,47 @@ impl FlightRing {
     }
 }
 
-/// Poison-recovering lock acquisition for the telemetry stores. The
-/// panic *hook* reads these locks, so they must be acquirable even after
-/// some thread panicked mid-record — a panicking `lock()` inside the
-/// hook would double-panic and abort the process. Every store here is a
-/// ring or map whose items are inserted whole under the lock, so a
-/// recovered guard observes at worst a missing item, never a torn one.
-pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Shared storage behind an enabled [`Obs`] handle.
+/// Shared storage behind an enabled [`Obs`] handle. The stores are
+/// [`RobustMutex`]es because the panic hook reads them: a panicking
+/// `lock()` inside the hook would double-panic and abort the process.
 pub(crate) struct Inner {
     pub(crate) epoch: Instant,
-    pub(crate) spans: Mutex<SpanRing>,
-    pub(crate) registry: Mutex<Registry>,
-    pub(crate) events: Mutex<EventRing>,
+    pub(crate) spans: RobustMutex<SpanRing>,
+    pub(crate) registry: RobustMutex<Registry>,
+    pub(crate) events: RobustMutex<EventRing>,
     /// Human-readable names for span lanes ([`Obs::name_lane`]); unnamed
     /// lanes export as `lane-<tid>`.
-    pub(crate) lanes: Mutex<BTreeMap<u64, String>>,
-    pub(crate) flight: Mutex<FlightRing>,
+    pub(crate) lanes: RobustMutex<BTreeMap<u64, String>>,
+    pub(crate) flight: RobustMutex<FlightRing>,
+}
+
+/// Flight-dump sinks of the process-wide panic hook: the storage of each
+/// handle passed to [`Obs::install_panic_hook`] with its dump path. Held
+/// weakly, so the hook never keeps a dropped handle alive.
+static PANIC_SINKS: RobustMutex<Vec<(Weak<Inner>, PathBuf)>> = RobustMutex::new(Vec::new());
+
+/// The registry with the sinks of dropped handles removed.
+fn live_panic_sinks() -> MutexGuard<'static, Vec<(Weak<Inner>, PathBuf)>> {
+    let mut sinks = PANIC_SINKS.lock();
+    sinks.retain(|(weak, _)| weak.strong_count() > 0);
+    sinks
+}
+
+/// Writes the flight dump of every live sink; runs inside the panic hook.
+fn write_panic_dumps() {
+    // Upgrade under the lock, render outside it: dropping the last handle
+    // to a sink must not happen while the registry is locked.
+    let live: Vec<(Obs, PathBuf)> = live_panic_sinks()
+        .iter()
+        .filter_map(|(weak, path)| {
+            let inner = weak.upgrade()?;
+            Some((Obs { inner: Some(inner) }, path.clone()))
+        })
+        .collect();
+    for (obs, path) in live {
+        obs.record_flight_snapshot();
+        let _ = std::fs::write(&path, obs.flight_dump());
+    }
 }
 
 /// A cheap, clonable observability handle.
@@ -314,11 +337,11 @@ impl Obs {
         Obs {
             inner: Some(Arc::new(Inner {
                 epoch: Instant::now(),
-                spans: Mutex::new(SpanRing::new(span_capacity)),
-                registry: Mutex::new(Registry::default()),
-                events: Mutex::new(EventRing::new(event_capacity)),
-                lanes: Mutex::new(BTreeMap::new()),
-                flight: Mutex::new(FlightRing::new(FLIGHT_SNAPSHOT_CAPACITY)),
+                spans: RobustMutex::new(SpanRing::new(span_capacity)),
+                registry: RobustMutex::new(Registry::default()),
+                events: RobustMutex::new(EventRing::new(event_capacity)),
+                lanes: RobustMutex::new(BTreeMap::new()),
+                flight: RobustMutex::new(FlightRing::new(FLIGHT_SNAPSHOT_CAPACITY)),
             })),
         }
     }
@@ -353,14 +376,14 @@ impl Obs {
     /// Adds `delta` to the named monotonic counter.
     pub fn counter_add(&self, name: &str, delta: u64) {
         if let Some(inner) = &self.inner {
-            crate::lock_recover(&inner.registry).counter_add(name, delta);
+            inner.registry.lock().counter_add(name, delta);
         }
     }
 
     /// Sets the named gauge to its latest value.
     pub fn gauge_set(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
-            crate::lock_recover(&inner.registry).gauge_set(name, value);
+            inner.registry.lock().gauge_set(name, value);
         }
     }
 
@@ -368,7 +391,7 @@ impl Obs {
     /// computed at export time).
     pub fn observe(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
-            crate::lock_recover(&inner.registry).observe(name, value);
+            inner.registry.lock().observe(name, value);
         }
     }
 
@@ -381,7 +404,7 @@ impl Obs {
                 source: source.to_string(),
                 kind,
             };
-            crate::lock_recover(&inner.events).push(event);
+            inner.events.lock().push(event);
         }
     }
 
@@ -390,7 +413,7 @@ impl Obs {
     pub fn solver_events(&self) -> Vec<SolverEvent> {
         self.inner
             .as_ref()
-            .map_or_else(Vec::new, |i| crate::lock_recover(&i.events).snapshot())
+            .map_or_else(Vec::new, |i| i.events.lock().snapshot())
     }
 
     /// Incremental read for pollers (e.g. a job-status endpoint
@@ -401,19 +424,16 @@ impl Obs {
     /// and a reader that falls behind the ring resumes at the oldest
     /// retained event. Disabled handles return `(0, [])`.
     pub fn solver_events_since(&self, seq: u64) -> (u64, Vec<SolverEvent>) {
-        self.inner.as_ref().map_or_else(
-            || (0, Vec::new()),
-            |i| crate::lock_recover(&i.events).since(seq),
-        )
+        self.inner
+            .as_ref()
+            .map_or_else(|| (0, Vec::new()), |i| i.events.lock().since(seq))
     }
 
     /// How many solver events the bounded ring has evicted so far (0 when
     /// disabled). Non-zero means [`Obs::solver_events`] is a suffix of
     /// the true stream.
     pub fn dropped_events(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| crate::lock_recover(&i.events).evicted)
+        self.inner.as_ref().map_or(0, |i| i.events.lock().evicted)
     }
 
     /// Snapshot of the retained spans (the bounded ring may have evicted
@@ -421,16 +441,14 @@ impl Obs {
     pub fn spans(&self) -> Vec<SpanRecord> {
         self.inner
             .as_ref()
-            .map_or_else(Vec::new, |i| crate::lock_recover(&i.spans).snapshot())
+            .map_or_else(Vec::new, |i| i.spans.lock().snapshot())
     }
 
     /// How many spans the bounded ring has evicted so far (0 when
     /// disabled). Non-zero means [`Obs::spans`] is a suffix of the true
     /// stream.
     pub fn dropped_spans(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| crate::lock_recover(&i.spans).evicted)
+        self.inner.as_ref().map_or(0, |i| i.spans.lock().evicted)
     }
 
     /// Names the *calling thread's* span lane; exported traces label the
@@ -442,11 +460,7 @@ impl Obs {
     /// [`Obs::is_enabled`] on hot paths.
     pub fn name_lane(&self, name: impl Into<String>) {
         if let Some(inner) = &self.inner {
-            inner
-                .lanes
-                .lock()
-                .unwrap()
-                .insert(current_lane(), name.into());
+            inner.lanes.lock().insert(current_lane(), name.into());
         }
     }
 
@@ -455,7 +469,7 @@ impl Obs {
     pub fn lane_names(&self) -> BTreeMap<u64, String> {
         self.inner
             .as_ref()
-            .map_or_else(BTreeMap::new, |i| crate::lock_recover(&i.lanes).clone())
+            .map_or_else(BTreeMap::new, |i| i.lanes.lock().clone())
     }
 
     /// Pushes a timestamped copy of the current metric state into the
@@ -470,7 +484,7 @@ impl Obs {
                 t_us: inner.epoch.elapsed().as_secs_f64() * 1e6,
                 metrics: self.metrics_snapshot(),
             };
-            crate::lock_recover(&inner.flight).push(snapshot);
+            inner.flight.lock().push(snapshot);
         }
     }
 
@@ -479,35 +493,38 @@ impl Obs {
     pub fn flight_snapshots(&self) -> Vec<export::FlightSnapshot> {
         self.inner
             .as_ref()
-            .map_or_else(Vec::new, |i| crate::lock_recover(&i.flight).snapshot())
+            .map_or_else(Vec::new, |i| i.flight.lock().snapshot())
     }
 
     /// The newest `n` retained spans, oldest first.
     pub(crate) fn span_tail(&self, n: usize) -> Vec<SpanRecord> {
         self.inner
             .as_ref()
-            .map_or_else(Vec::new, |i| crate::lock_recover(&i.spans).tail(n))
+            .map_or_else(Vec::new, |i| i.spans.lock().tail(n))
     }
 
     /// The newest `n` retained solver events, oldest first.
     pub(crate) fn event_tail(&self, n: usize) -> Vec<SolverEvent> {
         self.inner
             .as_ref()
-            .map_or_else(Vec::new, |i| crate::lock_recover(&i.events).tail(n))
+            .map_or_else(Vec::new, |i| i.events.lock().tail(n))
     }
 
-    /// Installs a process-wide panic hook that writes this handle's
-    /// flight-recorder dump ([`Obs::flight_dump`]) to `path` after the
-    /// previous hook (which keeps the default backtrace output) runs.
-    /// Gives postmortem telemetry for crashed jobs at zero steady-state
-    /// cost — the dump is only rendered inside the panic path. Disabled
-    /// handles install nothing. Installing from several handles (or one
-    /// handle with several paths) chains hooks; each writes its own dump.
+    /// Registers this handle's flight-recorder dump ([`Obs::flight_dump`])
+    /// to be written to `path` when any thread panics. Gives postmortem
+    /// telemetry for crashed jobs at zero steady-state cost — the dump is
+    /// only rendered inside the panic path. Disabled handles register
+    /// nothing. Several handles (or one handle with several paths) each
+    /// write their own dump.
     ///
-    /// Idempotent: re-installing the *same* handle with the *same* path
-    /// is a no-op returning `false`, so restart loops (a supervisor
-    /// re-running daemon startup) cannot grow an unbounded hook chain.
-    /// Returns `true` when a hook was actually installed.
+    /// The first registration installs one process-wide hook, which runs
+    /// the previous hook (keeping the default backtrace output) and then
+    /// writes the dump of every registered handle that is still alive.
+    /// The hook holds handles weakly: dropping a handle's last clone
+    /// removes it from the registry. Re-registering the *same* handle
+    /// with the *same* path is a no-op returning `false`, so restart
+    /// loops (a supervisor re-running daemon startup) cannot grow the
+    /// registry. Returns `true` when a sink was actually added.
     ///
     /// The hook itself cannot panic: the telemetry locks recover from
     /// poison (the panicking thread may have died mid-record) and the
@@ -515,34 +532,26 @@ impl Obs {
     /// path loses the dump, never the process (a panic inside a panic
     /// hook aborts).
     pub fn install_panic_hook(&self, path: impl Into<PathBuf>) -> bool {
-        static PANIC_SINKS: Mutex<Vec<(std::sync::Weak<Inner>, PathBuf)>> = Mutex::new(Vec::new());
+        static HOOK: OnceLock<()> = OnceLock::new();
         let Some(inner) = &self.inner else {
             return false;
         };
+        HOOK.get_or_init(|| {
+            let prev = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                prev(info);
+                write_panic_dumps();
+            }));
+        });
         let path: PathBuf = path.into();
-        {
-            let mut sinks = lock_recover(&PANIC_SINKS);
-            // Drop entries whose handles are gone, then refuse duplicates.
-            sinks.retain(|(weak, _)| weak.strong_count() > 0);
-            let duplicate = sinks.iter().any(|(weak, p)| {
-                *p == path
-                    && weak
-                        .upgrade()
-                        .is_some_and(|other| Arc::ptr_eq(&other, inner))
-            });
-            if duplicate {
-                return false;
-            }
-            sinks.push((Arc::downgrade(inner), path.clone()));
+        let mut sinks = live_panic_sinks();
+        let duplicate = sinks
+            .iter()
+            .any(|(weak, p)| *p == path && weak.as_ptr() == Arc::as_ptr(inner));
+        if !duplicate {
+            sinks.push((Arc::downgrade(inner), path));
         }
-        let obs = self.clone();
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            prev(info);
-            obs.record_flight_snapshot();
-            let _ = std::fs::write(&path, obs.flight_dump());
-        }));
-        true
+        !duplicate
     }
 
     /// Current value of a counter (0 when absent or disabled). Mostly for
@@ -550,14 +559,14 @@ impl Obs {
     pub fn counter(&self, name: &str) -> u64 {
         self.inner
             .as_ref()
-            .map_or(0, |i| crate::lock_recover(&i.registry).counter(name))
+            .map_or(0, |i| i.registry.lock().counter(name))
     }
 
     /// Latest value of a gauge, if set.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.inner
             .as_ref()
-            .and_then(|i| crate::lock_recover(&i.registry).gauge(name))
+            .and_then(|i| i.registry.lock().gauge(name))
     }
 }
 
@@ -691,9 +700,6 @@ mod tests {
             .spawn(|| panic!("flight recorder probe"))
             .unwrap()
             .join();
-        // Restore the default hook before asserting, so a failure below
-        // doesn't re-enter ours.
-        let _ = std::panic::take_hook();
         assert!(result.is_err());
         let dump = std::fs::read_to_string(&path).expect("hook wrote the dump");
         assert!(dump.contains("\"enabled\":true"));
@@ -726,8 +732,6 @@ mod tests {
         assert!(!second.install_panic_hook(&path));
         // Disabled handles never install anything.
         assert!(!Obs::disabled().install_panic_hook(&path));
-        // Restore the default hook so other tests see a clean slate.
-        let _ = std::panic::take_hook();
     }
 
     #[test]
@@ -748,12 +752,81 @@ mod tests {
             .spawn(|| panic!("probe with unwritable dump path"))
             .unwrap()
             .join();
-        let _ = std::panic::take_hook();
         assert!(result.is_err(), "the probe thread panicked normally");
         assert!(!path.exists(), "nothing was written");
         // The handle is still fully usable afterwards.
         obs.counter_add("doomed", 1);
         assert_eq!(obs.counter("doomed"), 2);
+    }
+
+    #[test]
+    fn panic_hook_registry_survives_concurrent_installs_and_drops() {
+        use std::sync::Barrier;
+        const THREADS: usize = 4;
+        let dir =
+            std::env::temp_dir().join(format!("pesto-obs-hook-stress-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // Rendezvous 1: every thread has registered one handle it keeps
+        // and one it is about to drop. Between the rendezvous, the
+        // threads drop handles and register (and drop) fresh ones while
+        // the main thread panics a probe. Rendezvous 2: the probe is done.
+        let barrier = Barrier::new(THREADS + 1);
+        let (kept, dropped) = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (barrier, dir) = (&barrier, &dir);
+                    scope.spawn(move || {
+                        let keep = Obs::enabled();
+                        keep.counter_add(&format!("stress.live.{t}"), 1);
+                        assert!(keep.install_panic_hook(dir.join(format!("live-{t}.json"))));
+                        let gone = Obs::enabled();
+                        assert!(gone.install_panic_hook(dir.join(format!("gone-{t}.json"))));
+                        let mut weak = vec![Arc::downgrade(gone.inner.as_ref().unwrap())];
+                        barrier.wait();
+                        drop(gone);
+                        for k in 0..8 {
+                            let churn = Obs::enabled();
+                            churn.install_panic_hook(dir.join(format!("churn-{t}-{k}.json")));
+                            weak.push(Arc::downgrade(churn.inner.as_ref().unwrap()));
+                        }
+                        barrier.wait();
+                        (keep, weak)
+                    })
+                })
+                .collect();
+            barrier.wait();
+            let probe = std::thread::Builder::new()
+                .name("obs-stress-probe".into())
+                .spawn(|| panic!("registry stress probe"))
+                .unwrap()
+                .join();
+            assert!(probe.is_err());
+            barrier.wait();
+            let done: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+            let kept: Vec<Obs> = done.iter().map(|(keep, _)| keep.clone()).collect();
+            let dropped: Vec<Weak<Inner>> = done.into_iter().flat_map(|(_, weak)| weak).collect();
+            (kept, dropped)
+        });
+        // Every handle alive through the panic wrote its own dump.
+        for t in 0..THREADS {
+            let dump = std::fs::read_to_string(dir.join(format!("live-{t}.json")))
+                .expect("a live sink's dump is written");
+            assert!(dump.contains(&format!("stress.live.{t}")));
+        }
+        // The hook kept no dropped handle alive, and the registry lists
+        // none of them.
+        assert!(dropped.iter().all(|w| w.upgrade().is_none()));
+        let sinks = live_panic_sinks();
+        assert!(dropped
+            .iter()
+            .all(|d| !sinks.iter().any(|(w, _)| Weak::ptr_eq(w, d))));
+        for obs in &kept {
+            let inner = obs.inner.as_ref().unwrap();
+            assert!(sinks.iter().any(|(w, _)| w.as_ptr() == Arc::as_ptr(inner)));
+        }
+        drop(sinks);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -161,7 +161,7 @@ impl Obs {
         let labels = sorted;
 
         let mut out = String::new();
-        let registry = crate::lock_recover(&inner.registry);
+        let registry = inner.registry.lock();
         for (raw, value) in &registry.counters {
             let name = format!("{}_total", sanitize_prom_name(raw));
             write_family(&mut out, &name, raw, "counter");

@@ -73,7 +73,7 @@ impl Drop for SpanGuard {
                 dur_us,
                 attrs: open.attrs,
             };
-            crate::lock_recover(&open.inner.spans).push(record);
+            open.inner.spans.lock().push(record);
         }
     }
 }

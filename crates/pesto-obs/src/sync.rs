@@ -1,24 +1,26 @@
-//! Poison-free synchronization primitives.
+//! Poison-recovering synchronization, shared by every crate that locks.
 //!
 //! `std`'s mutex poisoning turns one panic into a cascade: every later
 //! `lock().unwrap()` on the same mutex panics too, so a single crashed
-//! job could wedge `/jobs`, `/healthz`, and the worker queue forever.
-//! The service's shared state holds only data that stays consistent
-//! across a panic (a job registry entry is written atomically under the
-//! lock; the queue holds plain ids), so the right policy here is to
-//! *recover* the guard and keep serving — the panicking job itself is
-//! handled by the supervision layer, not by refusing every future lock.
+//! job could wedge a daemon's job table and worker queue forever, and a
+//! panic hook that reads a poisoned telemetry store would double-panic
+//! and abort the process. Recovering the guard is sound only for data
+//! that stays valid at every step of every update: the telemetry rings
+//! and maps, the daemon's job registry and queue, and the annealer's
+//! snapshot slots all insert or replace whole items under the lock, so a
+//! recovered guard observes at worst a missing item, never a torn one.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A mutex whose `lock` never panics: a poisoned lock (some thread
-/// panicked while holding it) is recovered and handed out anyway.
+/// panicked while holding it) is recovered and handed out anyway. Only
+/// for data that every update leaves valid (see the module docs).
 #[derive(Debug, Default)]
 pub struct RobustMutex<T>(Mutex<T>);
 
 impl<T> RobustMutex<T> {
     /// Wraps `value`.
-    pub fn new(value: T) -> RobustMutex<T> {
+    pub const fn new(value: T) -> RobustMutex<T> {
         RobustMutex(Mutex::new(value))
     }
 

@@ -35,7 +35,6 @@
 pub mod http;
 mod job;
 mod server;
-mod sync;
 
 pub use job::{JobSpec, JobState, TerminalRecord, CHAOS_MODES};
 pub use server::{submit_raw, wait_terminal, Server, ServerConfig};

@@ -21,7 +21,7 @@
 //! `*.tmp` files. All durable writes and checkpoint reads go through the
 //! configured [`Storage`] so the chaos suite can inject disk faults;
 //! corrupt checkpoint generations are quarantined and recovery falls
-//! back to the newest *valid* one ([`pesto::latest_valid_generation_with`]).
+//! back to the newest *valid* one ([`pesto::latest_valid_generation`]).
 //!
 //! ## Failure domains
 //!
@@ -31,19 +31,18 @@
 //! (a panic outside the sandbox), the supervisor thread settles the
 //! orphaned job and respawns the worker within a bounded restart budget.
 //! Shared state lives behind poison-recovering locks
-//! ([`crate::sync::RobustMutex`]), so one panic can never wedge the
+//! ([`pesto::obs::RobustMutex`]), so one panic can never wedge the
 //! control plane.
 
 use crate::http::{client_request, read_request, ClientResponse, Request, RequestError, Response};
 use crate::job::{JobSpec, JobState, TerminalRecord};
-use crate::sync::{wait_robust, RobustMutex};
 use pesto::cost::Profiler;
 use pesto::graph::{Cluster, FrozenGraph};
-use pesto::obs::{Obs, SolverEvent, SolverEventKind};
+use pesto::obs::{wait_robust, Obs, RobustMutex};
 use pesto::{
-    generation_path, graph_fingerprint, latest_generation, latest_valid_generation_with,
-    prune_with, CancelToken, CheckpointConfig, CheckpointError, Pesto, PestoConfig, PestoError,
-    PruneReport, SearchCheckpoint, Storage,
+    generation_path, graph_fingerprint, latest_generation, latest_valid_generation, prune,
+    CancelToken, CheckpointConfig, CheckpointError, Pesto, PestoConfig, PestoError, PruneReport,
+    SearchCheckpoint, Storage,
 };
 use serde_json::Value;
 use std::collections::{HashMap, VecDeque};
@@ -382,8 +381,7 @@ fn recover_jobs(state: &Arc<ServerState>) -> io::Result<()> {
         let dir = entry.path();
         // Startup GC: superseded generations and orphaned *.tmp files
         // from a crash mid-rename.
-        if let Ok(report) = prune_with(&*state.config.storage, &dir, state.config.keep_generations)
-        {
+        if let Ok(report) = prune(&*state.config.storage, &dir, state.config.keep_generations) {
             record_prune(&state.obs, &report);
         }
         let spec_path = dir.join("spec.json");
@@ -468,8 +466,7 @@ fn verify_checkpoint_with_fallback(dir: &Path, spec: &JobSpec, state: &Arc<Serve
     let validate = |generation: u64, ckpt: &SearchCheckpoint| -> Result<(), CheckpointError> {
         ckpt.verify(expected, attempt_seed(spec, generation as u32))
     };
-    let Ok(scan) = latest_valid_generation_with(&*state.config.storage, dir, "search", &validate)
-    else {
+    let Ok(scan) = latest_valid_generation(&*state.config.storage, dir, "search", &validate) else {
         return false;
     };
     if !scan.quarantined.is_empty() {
@@ -785,14 +782,16 @@ fn job_status(id: &str, req: &Request, state: &Arc<ServerState>) -> Response {
     };
     let (next, events) = obs.solver_events_since(events_since);
     let dropped = obs.dropped_events();
-    let events_json: Vec<String> = events.iter().map(event_json).collect();
-    Response::json(
-        200,
-        format!(
-            "{{{summary},\"events_next\":{next},\"events_dropped\":{dropped},\"events\":[{}]}}",
-            events_json.join(",")
-        ),
-    )
+    let mut body =
+        format!("{{{summary},\"events_next\":{next},\"events_dropped\":{dropped},\"events\":[");
+    for (i, e) in events.iter().enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        e.write_json(&mut body);
+    }
+    body.push_str("]}");
+    Response::json(200, body)
 }
 
 fn job_summary_json(id: &str, j: &JobEntry) -> String {
@@ -823,69 +822,6 @@ fn job_summary_json(id: &str, j: &JobEntry) -> String {
         out.push_str(&format!(",\"duration_ms\":{ms}"));
     }
     out
-}
-
-fn event_json(e: &SolverEvent) -> String {
-    let mut fields = format!(
-        "\"t_us\":{},\"source\":{},\"kind\":\"{}\"",
-        e.t_us,
-        json_string(&e.source),
-        e.kind.tag()
-    );
-    match &e.kind {
-        SolverEventKind::Incumbent { objective } => {
-            fields.push_str(&format!(",\"objective\":{}", json_f64(*objective)));
-        }
-        SolverEventKind::Gap {
-            incumbent,
-            best_bound,
-            relative_gap,
-            nodes_explored,
-        } => {
-            fields.push_str(&format!(
-                ",\"incumbent\":{},\"best_bound\":{},\"relative_gap\":{},\"nodes_explored\":{nodes_explored}",
-                json_f64(*incumbent),
-                json_f64(*best_bound),
-                json_f64(*relative_gap)
-            ));
-        }
-        SolverEventKind::Anneal {
-            restart,
-            iteration,
-            temperature,
-            accept_rate,
-            best_cost,
-        } => {
-            fields.push_str(&format!(
-                ",\"restart\":{restart},\"iteration\":{iteration},\"temperature\":{},\"accept_rate\":{},\"best_cost\":{}",
-                json_f64(*temperature),
-                json_f64(*accept_rate),
-                json_f64(*best_cost)
-            ));
-        }
-        SolverEventKind::Degradation {
-            reason,
-            remaining_deadline_us,
-        } => {
-            fields.push_str(&format!(
-                ",\"reason\":{},\"remaining_deadline_us\":{}",
-                json_string(reason),
-                json_f64(*remaining_deadline_us)
-            ));
-        }
-        SolverEventKind::Drift {
-            ops_flagged,
-            max_drift_frac,
-            threshold_frac,
-        } => {
-            fields.push_str(&format!(
-                ",\"ops_flagged\":{ops_flagged},\"max_drift_frac\":{},\"threshold_frac\":{}",
-                json_f64(*max_drift_frac),
-                json_f64(*threshold_frac)
-            ));
-        }
-    }
-    format!("{{{fields}}}")
 }
 
 fn cancel_job(id: &str, state: &Arc<ServerState>) -> Response {
@@ -1058,7 +994,7 @@ fn run_job(state: &Arc<ServerState>, id: &str) {
                 // GC after success: superseded generations and any tmp
                 // litter go now, not at the next restart.
                 if let Ok(report) =
-                    prune_with(&*state.config.storage, &dir, state.config.keep_generations)
+                    prune(&*state.config.storage, &dir, state.config.keep_generations)
                 {
                     record_prune(&state.obs, &report);
                 }
@@ -1326,15 +1262,6 @@ fn json_string(s: &str) -> String {
     out
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        // JSON has no Infinity/NaN; large sentinels keep parsers happy.
-        "1e308".to_string()
-    }
-}
-
 /// Client-side helper shared by the load generator and the tests: polls
 /// `GET /jobs/:id` until the job reaches a terminal state or `timeout`
 /// passes. Returns the last status body.
@@ -1378,7 +1305,79 @@ pub fn submit_raw(addr: &str, body: &str) -> Result<ClientResponse, String> {
 
 #[cfg(test)]
 mod tests {
-    use super::retry_hint_from;
+    use super::*;
+    use pesto::obs::SolverEventKind;
+
+    #[test]
+    fn non_finite_event_fields_poll_back_as_null() {
+        let data_dir =
+            std::env::temp_dir().join(format!("pesto-serve-null-event-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&data_dir);
+        let server = Server::start(ServerConfig {
+            data_dir: data_dir.clone(),
+            workers: 1,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        // A finished job whose pipeline degraded without an SLA: the
+        // deadline slack of its degradation event is infinite.
+        let obs = Obs::enabled();
+        obs.solver_event(
+            "pipeline",
+            SolverEventKind::Degradation {
+                reason: "solver_failed".into(),
+                remaining_deadline_us: f64::INFINITY,
+            },
+        );
+        let entry = JobEntry {
+            spec: JobSpec {
+                graph_json: String::new(),
+                seed: 1,
+                sla_ms: None,
+                checkpoint_every: 0,
+                max_retries: 0,
+                iterations: None,
+                restarts: None,
+                profiler_iterations: None,
+                threads: None,
+                shard_region_cap: None,
+                chaos: None,
+            },
+            state: JobState::Degraded,
+            attempts: 1,
+            resumed: false,
+            degradation: Some("solver failed".into()),
+            makespan_us: Some(1.0),
+            error: None,
+            retryable: false,
+            submitted: Instant::now(),
+            duration_ms: Some(1),
+            cancel: CancelToken::new(),
+            obs,
+            panicked: false,
+        };
+        server.state.jobs.lock().insert("job-x".into(), entry);
+        let resp = client_request(
+            &server.addr().to_string(),
+            "GET",
+            "/jobs/job-x",
+            None,
+            Duration::from_secs(10),
+        )
+        .unwrap();
+        server.stop();
+        let _ = fs::remove_dir_all(&data_dir);
+        assert_eq!(resp.status, 200);
+        let body: Value = serde_json::from_str(&resp.body).unwrap();
+        let event = &body["events"][0];
+        assert_eq!(event["kind"], "degradation");
+        assert_eq!(event["reason"], "solver_failed");
+        assert!(
+            event["remaining_deadline_us"].is_null(),
+            "non-finite slack must poll back as null: {}",
+            resp.body
+        );
+    }
 
     #[test]
     fn retry_hint_scales_with_backlog_and_floors_at_100ms() {

@@ -18,7 +18,8 @@
 use pesto::graph::to_json;
 use pesto::models::ModelSpec;
 use pesto::{
-    load_checkpoint, ChaosPlan, ChaosStorage, CheckpointConfig, Pesto, PestoConfig, Storage,
+    load_checkpoint, ChaosPlan, ChaosStorage, CheckpointConfig, FsStorage, Pesto, PestoConfig,
+    Storage,
 };
 use pesto_serve::http::client_request;
 use pesto_serve::{submit_raw, wait_terminal, Server, ServerConfig};
@@ -318,7 +319,7 @@ fn restart_over_a_corrupt_newest_generation_quarantines_and_resumes_the_valid_on
     // gen-1 and resume gen-0.
     let snapshot = data_dir.join("snapshot-at-kill.ckpt.json");
     fs::copy(&gen0, &snapshot).unwrap();
-    let frozen = load_checkpoint(&snapshot).unwrap();
+    let frozen = load_checkpoint(&FsStorage, &snapshot).unwrap();
     assert!(frozen.hybrid.is_some(), "checkpoint has no search state");
     let mut corrupt = fs::read(&gen0).unwrap();
     *corrupt.last_mut().unwrap() ^= 0x01;

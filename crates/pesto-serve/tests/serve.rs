@@ -4,7 +4,7 @@
 
 use pesto::graph::to_json;
 use pesto::models::ModelSpec;
-use pesto::{load_checkpoint, CheckpointConfig, Pesto, PestoConfig};
+use pesto::{load_checkpoint, CheckpointConfig, FsStorage, Pesto, PestoConfig};
 use pesto_serve::http::client_request;
 use pesto_serve::{submit_raw, wait_terminal, Server, ServerConfig};
 use serde_json::Value;
@@ -164,9 +164,11 @@ fn overload_is_a_typed_429_with_retry_after() {
     let v: Value = serde_json::from_str(&rejected_sla.body).unwrap();
     assert_eq!(v.get("retry_after_ms").and_then(Value::as_u64), Some(30));
 
-    // Cancel both admitted jobs: the running one stops cooperatively,
-    // the queued one settles immediately without ever running.
-    for id in [&a, &b] {
+    // Cancel both admitted jobs: the queued one settles immediately
+    // without ever running, the running one stops cooperatively. The
+    // queued job goes first: cancelled second, the worker freed by the
+    // first cancel could pop it before its DELETE lands.
+    for id in [&b, &a] {
         let resp = client_request(
             &addr,
             "DELETE",
@@ -343,7 +345,7 @@ fn sigkill_and_restart_resumes_the_checkpoint_bit_identically() {
     // Freeze the snapshot the restarted daemon will resume from.
     let snapshot = data_dir.join("snapshot-at-kill.ckpt.json");
     fs::copy(&gen0, &snapshot).unwrap();
-    let frozen = load_checkpoint(&snapshot).unwrap();
+    let frozen = load_checkpoint(&FsStorage, &snapshot).unwrap();
     assert!(frozen.hybrid.is_some(), "checkpoint has no search state");
 
     // Restart on the same data dir: recovery must re-admit the job,

@@ -37,8 +37,8 @@ use pesto::models::ModelSpec;
 use pesto::obs::Obs;
 use pesto::sim::Simulator;
 use pesto::{
-    quarantine_file, repair_after_outage, CheckpointConfig, CheckpointError, Pesto, PestoConfig,
-    PestoError,
+    quarantine_file, repair_after_outage, CheckpointConfig, CheckpointError, FsStorage, Pesto,
+    PestoConfig, PestoError,
 };
 use std::fs;
 use std::process::ExitCode;
@@ -369,7 +369,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                         .as_mut()
                         .expect("--resume implies --checkpoint");
                     eprintln!("warning: checkpoint failed integrity check: {msg}");
-                    match quarantine_file(&ckpt.path) {
+                    match quarantine_file(&FsStorage, &ckpt.path) {
                         Ok(dest) => eprintln!(
                             "warning: quarantined corrupt checkpoint to {}",
                             dest.display()

@@ -36,7 +36,7 @@
 //! [`Storage`] trait so the chaos test-suite can inject exactly those
 //! faults.
 
-use crate::storage::{FsStorage, Storage};
+use crate::storage::Storage;
 use pesto_graph::{FrozenGraph, Plan};
 use pesto_ilp::HybridSearchState;
 use pesto_milp::MilpCheckpoint;
@@ -392,19 +392,9 @@ fn decode_envelope<'a>(raw: &'a [u8], path: &Path) -> Result<&'a [u8], Checkpoin
     Ok(payload)
 }
 
-/// Atomically persists `checkpoint` at `path` via [`FsStorage`]; see
-/// [`save_checkpoint_with`].
-///
-/// # Errors
-///
-/// [`CheckpointError::Io`] on any filesystem failure;
-/// [`CheckpointError::Parse`] if serialization itself fails.
-pub fn save_checkpoint(path: &Path, checkpoint: &SearchCheckpoint) -> Result<(), CheckpointError> {
-    save_checkpoint_with(&FsStorage, path, checkpoint)
-}
-
-/// Atomically persists `checkpoint` at `path` through `storage`: the
-/// payload JSON is wrapped in the checksummed envelope and handed to
+/// Atomically persists `checkpoint` at `path` through `storage` (pass
+/// [`FsStorage`](crate::FsStorage) for the real filesystem): the payload
+/// JSON is wrapped in the checksummed envelope and handed to
 /// [`Storage::write_atomic`] (sibling temp file + rename), so a crash at
 /// any point leaves either the old checkpoint or the new one — never a
 /// torn *visible* file, and storage-level tearing of the contents is
@@ -414,7 +404,7 @@ pub fn save_checkpoint(path: &Path, checkpoint: &SearchCheckpoint) -> Result<(),
 ///
 /// [`CheckpointError::Io`] on any storage failure;
 /// [`CheckpointError::Parse`] if serialization itself fails.
-pub fn save_checkpoint_with(
+pub fn save_checkpoint(
     storage: &dyn Storage,
     path: &Path,
     checkpoint: &SearchCheckpoint,
@@ -445,9 +435,43 @@ fn parse_generation(name: &str) -> Option<(&str, u64)> {
     Some((&base[..at], generation))
 }
 
+/// The regular files directly under `dir` with UTF-8 names, as
+/// `(name, path)`. A missing directory lists as empty: restart scans
+/// treat "nothing to resume" as a fresh start, not an error.
+/// Subdirectories such as `quarantine/` are never listed.
+fn list_dir(dir: &Path) -> Result<Vec<(String, PathBuf)>, CheckpointError> {
+    let list_err = |e: std::io::Error| CheckpointError::Io(format!("list {}: {e}", dir.display()));
+    let entries = match fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(list_err(e)),
+    };
+    let mut files = Vec::new();
+    for entry in entries {
+        let entry = entry.map_err(list_err)?;
+        if !entry.file_type().map(|t| t.is_file()).unwrap_or(false) {
+            continue;
+        }
+        if let Ok(name) = entry.file_name().into_string() {
+            files.push((name, entry.path()));
+        }
+    }
+    Ok(files)
+}
+
+/// The generations of `stem` under `dir`, in listing order.
+fn generations_of(dir: &Path, stem: &str) -> Result<Vec<(u64, PathBuf)>, CheckpointError> {
+    Ok(list_dir(dir)?
+        .into_iter()
+        .filter_map(|(name, path)| match parse_generation(&name) {
+            Some((s, generation)) if s == stem => Some((generation, path)),
+            _ => None,
+        })
+        .collect())
+}
+
 /// Finds the newest checkpoint generation of `stem` under `dir`.
-/// A missing directory (or no matching files) is `Ok(None)`: restart
-/// scans treat "nothing to resume" as a fresh start, not an error.
+/// A missing directory (or no matching files) is `Ok(None)`.
 ///
 /// # Errors
 ///
@@ -456,26 +480,9 @@ pub fn latest_generation(
     dir: &Path,
     stem: &str,
 ) -> Result<Option<(u64, PathBuf)>, CheckpointError> {
-    let entries = match fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(CheckpointError::Io(format!("list {}: {e}", dir.display()))),
-    };
-    let mut newest: Option<(u64, PathBuf)> = None;
-    for entry in entries {
-        let entry =
-            entry.map_err(|e| CheckpointError::Io(format!("list {}: {e}", dir.display())))?;
-        let path = entry.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if let Some((s, generation)) = parse_generation(name) {
-            if s == stem && newest.as_ref().is_none_or(|(g, _)| generation > *g) {
-                newest = Some((generation, path));
-            }
-        }
-    }
-    Ok(newest)
+    Ok(generations_of(dir, stem)?
+        .into_iter()
+        .max_by_key(|(generation, _)| *generation))
 }
 
 /// What [`prune`] deleted.
@@ -492,7 +499,11 @@ pub struct PruneReport {
 /// generations of every job stem (at least one is always kept, even with
 /// `keep_n == 0` — pruning must never delete a job's only checkpoint)
 /// and sweeps orphaned `*.tmp` files left by a crash between the temp
-/// write and the rename.
+/// write and the rename. Removals go through `storage` (fault injection
+/// in tests) and run oldest-generation-first per stem, so a crash — or
+/// an injected failure — at any point during the sweep leaves the newest
+/// generations intact: there is no window where a job has zero loadable
+/// checkpoints on disk.
 ///
 /// A missing directory is a no-op `Ok` — calling this unconditionally on
 /// daemon startup is safe before any checkpoint was ever written. The
@@ -505,51 +516,25 @@ pub struct PruneReport {
 ///
 /// [`CheckpointError::Io`] if listing the directory or deleting a file
 /// fails; deletions already performed are not rolled back.
-pub fn prune(dir: &Path, keep_n: usize) -> Result<PruneReport, CheckpointError> {
-    prune_with(&FsStorage, dir, keep_n)
-}
-
-/// [`prune`] with removals routed through `storage` (fault injection in
-/// tests). Deletions run oldest-generation-first per stem, so a crash —
-/// or an injected failure — at any point during the sweep leaves the
-/// newest generations intact: there is no window where a job has zero
-/// loadable checkpoints on disk.
-///
-/// # Errors
-///
-/// As [`prune`].
-pub fn prune_with(
+pub fn prune(
     storage: &dyn Storage,
     dir: &Path,
     keep_n: usize,
 ) -> Result<PruneReport, CheckpointError> {
     let keep_n = keep_n.max(1);
     let mut report = PruneReport::default();
-    let entries = match fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(report),
-        Err(e) => return Err(CheckpointError::Io(format!("list {}: {e}", dir.display()))),
+    let remove = |path: &Path| {
+        storage
+            .remove_file(path)
+            .map_err(|e| CheckpointError::Io(format!("remove {}: {e}", path.display())))
     };
     let mut generations: std::collections::BTreeMap<String, Vec<(u64, PathBuf)>> =
         std::collections::BTreeMap::new();
-    for entry in entries {
-        let entry =
-            entry.map_err(|e| CheckpointError::Io(format!("list {}: {e}", dir.display())))?;
-        let path = entry.path();
-        if !entry.file_type().map(|t| t.is_file()).unwrap_or(false) {
-            continue;
-        }
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
+    for (name, path) in list_dir(dir)? {
         if name.ends_with(".tmp") {
-            storage
-                .remove_file(&path)
-                .map_err(|e| CheckpointError::Io(format!("remove {}: {e}", path.display())))?;
+            remove(&path)?;
             report.removed_tmp += 1;
-            continue;
-        }
-        if let Some((stem, generation)) = parse_generation(name) {
+        } else if let Some((stem, generation)) = parse_generation(&name) {
             generations
                 .entry(stem.to_string())
                 .or_default()
@@ -560,26 +545,15 @@ pub fn prune_with(
         gens.sort_by_key(|(g, _)| *g);
         let cut = gens.len().saturating_sub(keep_n);
         for (_, path) in gens.drain(..cut) {
-            storage
-                .remove_file(&path)
-                .map_err(|e| CheckpointError::Io(format!("remove {}: {e}", path.display())))?;
+            remove(&path)?;
             report.removed_generations += 1;
         }
     }
     Ok(report)
 }
 
-/// Loads and validates a checkpoint from `path` via [`FsStorage`]; see
-/// [`load_checkpoint_with`].
-///
-/// # Errors
-///
-/// As [`load_checkpoint_with`].
-pub fn load_checkpoint(path: &Path) -> Result<SearchCheckpoint, CheckpointError> {
-    load_checkpoint_with(&FsStorage, path)
-}
-
-/// Loads and validates a checkpoint from `path` through `storage`.
+/// Loads and validates a checkpoint from `path` through `storage` (pass
+/// [`FsStorage`](crate::FsStorage) for the real filesystem).
 ///
 /// The checksummed envelope is verified first (legacy bare-payload files
 /// skip this), then the schema major version is checked *before* the full
@@ -594,7 +568,7 @@ pub fn load_checkpoint(path: &Path) -> Result<SearchCheckpoint, CheckpointError>
 /// not match the payload, [`CheckpointError::UnsupportedVersion`] for
 /// unknown majors, [`CheckpointError::Parse`] for anything that is not a
 /// checkpoint.
-pub fn load_checkpoint_with(
+pub fn load_checkpoint(
     storage: &dyn Storage,
     path: &Path,
 ) -> Result<SearchCheckpoint, CheckpointError> {
@@ -618,32 +592,20 @@ pub fn load_checkpoint_with(
     Ok(checkpoint)
 }
 
-/// Moves `path` into the `quarantine/` subdirectory next to it via
-/// [`FsStorage`]; see [`quarantine_file_with`].
-///
-/// # Errors
-///
-/// As [`quarantine_file_with`].
-pub fn quarantine_file(path: &Path) -> Result<PathBuf, CheckpointError> {
-    quarantine_file_with(&FsStorage, path)
-}
-
 /// Moves a corrupt file into a `quarantine/` subdirectory beside it
 /// (creating the directory if needed) and returns the new path. Corrupt
 /// checkpoints are preserved, not deleted: the quarantined bytes are the
 /// evidence a postmortem needs to tell torn writes from bit rot from
 /// software bugs. `quarantine/` is invisible to [`latest_generation`] and
 /// [`prune`], which only consider regular files directly under the
-/// checkpoint directory.
+/// checkpoint directory. The move goes through `storage` (pass
+/// [`FsStorage`](crate::FsStorage) for the real filesystem).
 ///
 /// # Errors
 ///
 /// [`CheckpointError::Io`] if the directory cannot be created or the file
 /// cannot be moved.
-pub fn quarantine_file_with(
-    storage: &dyn Storage,
-    path: &Path,
-) -> Result<PathBuf, CheckpointError> {
+pub fn quarantine_file(storage: &dyn Storage, path: &Path) -> Result<PathBuf, CheckpointError> {
     let parent = path.parent().unwrap_or_else(|| Path::new("."));
     let qdir = parent.join("quarantine");
     storage
@@ -678,30 +640,16 @@ pub struct GenerationScan {
     pub skipped_io: Vec<PathBuf>,
 }
 
-/// Finds the newest checkpoint generation of `stem` under `dir` that
-/// loads and passes `validate`, via [`FsStorage`]; see
-/// [`latest_valid_generation_with`].
-///
-/// # Errors
-///
-/// As [`latest_valid_generation_with`].
-pub fn latest_valid_generation(
-    dir: &Path,
-    stem: &str,
-    validate: &dyn Fn(u64, &SearchCheckpoint) -> Result<(), CheckpointError>,
-) -> Result<GenerationScan, CheckpointError> {
-    latest_valid_generation_with(&FsStorage, dir, stem, validate)
-}
-
 /// The corruption-tolerant replacement for [`latest_generation`]: walks
 /// the generations of `stem` under `dir` newest-first until one loads and
 /// passes `validate(generation, &checkpoint)` (typically
 /// [`SearchCheckpoint::verify`] against the expected fingerprint and the
-/// generation's seed).
+/// generation's seed). Reads and quarantine moves go through `storage`
+/// (pass [`FsStorage`](crate::FsStorage) for the real filesystem).
 ///
 /// Generations that fail — corrupt envelope, unparseable payload,
 /// unsupported schema, or `validate` rejection — are moved into
-/// `quarantine/` ([`quarantine_file_with`]) and the walk continues to the
+/// `quarantine/` ([`quarantine_file`]) and the walk continues to the
 /// next-older generation. Generations whose *read* fails are skipped but
 /// left in place (the error may be transient; destroying the newest
 /// checkpoint over a flaky read would be worse than resuming older). A
@@ -714,38 +662,17 @@ pub fn latest_valid_generation(
 /// [`CheckpointError::Io`] only if the directory exists but cannot be
 /// listed; per-generation failures are reported in the scan, not as
 /// errors.
-pub fn latest_valid_generation_with(
+pub fn latest_valid_generation(
     storage: &dyn Storage,
     dir: &Path,
     stem: &str,
     validate: &dyn Fn(u64, &SearchCheckpoint) -> Result<(), CheckpointError>,
 ) -> Result<GenerationScan, CheckpointError> {
     let mut scan = GenerationScan::default();
-    let entries = match fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(scan),
-        Err(e) => return Err(CheckpointError::Io(format!("list {}: {e}", dir.display()))),
-    };
-    let mut gens: Vec<(u64, PathBuf)> = Vec::new();
-    for entry in entries {
-        let entry =
-            entry.map_err(|e| CheckpointError::Io(format!("list {}: {e}", dir.display())))?;
-        let path = entry.path();
-        if !entry.file_type().map(|t| t.is_file()).unwrap_or(false) {
-            continue;
-        }
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if let Some((s, generation)) = parse_generation(name) {
-            if s == stem {
-                gens.push((generation, path));
-            }
-        }
-    }
+    let mut gens = generations_of(dir, stem)?;
     gens.sort_by_key(|(g, _)| std::cmp::Reverse(*g));
     for (generation, path) in gens {
-        match load_checkpoint_with(storage, &path).and_then(|ckpt| {
+        match load_checkpoint(storage, &path).and_then(|ckpt| {
             validate(generation, &ckpt)?;
             Ok(ckpt)
         }) {
@@ -754,7 +681,7 @@ pub fn latest_valid_generation_with(
                 break;
             }
             Err(CheckpointError::Io(_)) => scan.skipped_io.push(path),
-            Err(_) => match quarantine_file_with(storage, &path) {
+            Err(_) => match quarantine_file(storage, &path) {
                 Ok(dest) => scan.quarantined.push(dest),
                 // Quarantine itself failed (disk trouble); leave the file
                 // and record it as skipped rather than aborting the walk.
@@ -768,17 +695,9 @@ pub fn latest_valid_generation_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::FsStorage;
     use pesto_models::ModelSpec;
     use std::path::PathBuf;
-
-    /// The offline stub `serde_json` serializes everything to `""`; real
-    /// `serde_json` round-trips. Tests that need real serialization guard
-    /// on this.
-    fn serde_json_available() -> bool {
-        serde_json::to_string(&1u8)
-            .map(|s| !s.is_empty())
-            .unwrap_or(false)
-    }
 
     fn tmp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -803,7 +722,7 @@ mod tests {
         // Orphaned atomic-write leftovers and unrelated files.
         fs::write(dir.join("job-a.gen-9.json.tmp"), b"torn").unwrap();
         fs::write(dir.join("notes.txt"), b"keep me").unwrap();
-        let report = prune(&dir, 2).unwrap();
+        let report = prune(&FsStorage, &dir, 2).unwrap();
         assert_eq!(report.removed_generations, 3, "job-a generations 0..=2");
         assert_eq!(report.removed_tmp, 1);
         assert!(generation_path(&dir, "job-a", 3).exists());
@@ -814,7 +733,7 @@ mod tests {
         assert!(!dir.join("job-a.gen-9.json.tmp").exists());
         assert!(dir.join("notes.txt").exists(), "non-checkpoint files stay");
         // Idempotent: a second prune finds nothing left to do.
-        assert_eq!(prune(&dir, 2).unwrap(), PruneReport::default());
+        assert_eq!(prune(&FsStorage, &dir, 2).unwrap(), PruneReport::default());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -822,7 +741,7 @@ mod tests {
     fn prune_missing_dir_is_a_noop() {
         let dir = tmp_path("prune-missing");
         let _ = fs::remove_dir_all(&dir);
-        assert_eq!(prune(&dir, 3).unwrap(), PruneReport::default());
+        assert_eq!(prune(&FsStorage, &dir, 3).unwrap(), PruneReport::default());
     }
 
     #[test]
@@ -832,7 +751,7 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         fs::write(generation_path(&dir, "solo", 7), b"{}").unwrap();
         // keep_n == 0 is clamped: a job's only checkpoint must survive.
-        assert_eq!(prune(&dir, 0).unwrap(), PruneReport::default());
+        assert_eq!(prune(&FsStorage, &dir, 0).unwrap(), PruneReport::default());
         assert!(generation_path(&dir, "solo", 7).exists());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -856,23 +775,20 @@ mod tests {
 
     #[test]
     fn generation_files_roundtrip_through_the_atomic_writer() {
-        if !serde_json_available() {
-            return;
-        }
         let dir = tmp_path("gen-roundtrip");
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let ckpt = SearchCheckpoint::new(0xfeed, 3);
-        save_checkpoint(&generation_path(&dir, "job", 0), &ckpt).unwrap();
+        save_checkpoint(&FsStorage, &generation_path(&dir, "job", 0), &ckpt).unwrap();
         let mut newer = SearchCheckpoint::new(0xfeed, 3);
         newer.incumbent = None;
-        save_checkpoint(&generation_path(&dir, "job", 1), &newer).unwrap();
+        save_checkpoint(&FsStorage, &generation_path(&dir, "job", 1), &newer).unwrap();
         let (generation, path) = latest_generation(&dir, "job").unwrap().unwrap();
         assert_eq!(generation, 1);
-        let loaded = load_checkpoint(&path).unwrap();
+        let loaded = load_checkpoint(&FsStorage, &path).unwrap();
         assert_eq!(loaded.verify(0xfeed, 3), Ok(()));
         // Rotation leaves exactly the newest file.
-        prune(&dir, 1).unwrap();
+        prune(&FsStorage, &dir, 1).unwrap();
         assert!(!generation_path(&dir, "job", 0).exists());
         assert!(generation_path(&dir, "job", 1).exists());
         fs::remove_dir_all(&dir).unwrap();
@@ -934,13 +850,10 @@ mod tests {
 
     #[test]
     fn save_load_round_trips_and_rejects_future_majors() {
-        if !serde_json_available() {
-            return; // offline stub serde_json cannot round-trip
-        }
         let path = tmp_path("roundtrip.json");
         let ckpt = SearchCheckpoint::new(0x1234_5678, 42);
-        save_checkpoint(&path, &ckpt).unwrap();
-        let back = load_checkpoint(&path).unwrap();
+        save_checkpoint(&FsStorage, &path, &ckpt).unwrap();
+        let back = load_checkpoint(&FsStorage, &path).unwrap();
         assert_eq!(back, ckpt);
 
         // A future-major file is refused cleanly, before parsing. Rewrite
@@ -953,7 +866,7 @@ mod tests {
             .replace("\"1.0\"", "\"2.0\"");
         std::fs::write(&path, encode_envelope(future.as_bytes())).unwrap();
         assert!(matches!(
-            load_checkpoint(&path),
+            load_checkpoint(&FsStorage, &path),
             Err(CheckpointError::UnsupportedVersion { found }) if found == "2.0"
         ));
         let _ = std::fs::remove_file(&path);
@@ -995,42 +908,36 @@ mod tests {
 
     #[test]
     fn legacy_unchecksummed_checkpoints_still_load() {
-        if !serde_json_available() {
-            return;
-        }
         let path = tmp_path("legacy.json");
         let ckpt = SearchCheckpoint::new(0xbeef, 9);
         // Pre-envelope writers stored the bare payload JSON.
         let payload = serde_json::to_string(&ckpt).unwrap();
         fs::write(&path, payload.as_bytes()).unwrap();
-        assert_eq!(load_checkpoint(&path).unwrap(), ckpt);
+        assert_eq!(load_checkpoint(&FsStorage, &path).unwrap(), ckpt);
         let _ = fs::remove_file(&path);
     }
 
     #[test]
     fn corrupting_the_saved_file_is_detected() {
-        if !serde_json_available() {
-            return;
-        }
         let path = tmp_path("detect-corrupt.json");
         let ckpt = SearchCheckpoint::new(0xc0de, 1);
-        save_checkpoint(&path, &ckpt).unwrap();
+        save_checkpoint(&FsStorage, &path, &ckpt).unwrap();
         // Saved files carry the envelope and round-trip.
-        assert_eq!(load_checkpoint(&path).unwrap(), ckpt);
+        assert_eq!(load_checkpoint(&FsStorage, &path).unwrap(), ckpt);
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            load_checkpoint(&path),
+            load_checkpoint(&FsStorage, &path),
             Err(CheckpointError::Corrupt(_))
         ));
         // Truncation (a torn writeback) is detected too.
-        save_checkpoint(&path, &ckpt).unwrap();
+        save_checkpoint(&FsStorage, &path, &ckpt).unwrap();
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
         assert!(matches!(
-            load_checkpoint(&path),
+            load_checkpoint(&FsStorage, &path),
             Err(CheckpointError::Corrupt(_))
         ));
         let _ = fs::remove_file(&path);
@@ -1038,9 +945,6 @@ mod tests {
 
     #[test]
     fn latest_valid_generation_walks_past_corruption_and_quarantines() {
-        if !serde_json_available() {
-            return;
-        }
         let dir = tmp_path("valid-gen-walk");
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
@@ -1050,12 +954,13 @@ mod tests {
 
         // Missing dir and empty dir are both a clean fresh start.
         let empty =
-            latest_valid_generation(&tmp_path("valid-gen-none"), "job", &accept_job).unwrap();
+            latest_valid_generation(&FsStorage, &tmp_path("valid-gen-none"), "job", &accept_job)
+                .unwrap();
         assert!(empty.valid.is_none() && empty.quarantined.is_empty());
 
         let ckpt = SearchCheckpoint::new(0xfeed, 5);
         for g in 0..3u64 {
-            save_checkpoint(&generation_path(&dir, "job", g), &ckpt).unwrap();
+            save_checkpoint(&FsStorage, &generation_path(&dir, "job", g), &ckpt).unwrap();
         }
         // Corrupt the newest generation and tear the one below it.
         let g2 = generation_path(&dir, "job", 2);
@@ -1067,7 +972,7 @@ mod tests {
         let bytes = fs::read(&g1).unwrap();
         fs::write(&g1, &bytes[..bytes.len() / 2]).unwrap();
 
-        let scan = latest_valid_generation(&dir, "job", &accept_job).unwrap();
+        let scan = latest_valid_generation(&FsStorage, &dir, "job", &accept_job).unwrap();
         let (generation, path, loaded) = scan.valid.expect("gen-0 survives");
         assert_eq!(generation, 0);
         assert_eq!(path, generation_path(&dir, "job", 0));
@@ -1087,8 +992,8 @@ mod tests {
         // checkpoint must never be resumed into a different job.
         let mut wrong = SearchCheckpoint::new(0xdead, 5);
         wrong.incumbent = None;
-        save_checkpoint(&generation_path(&dir, "job", 3), &wrong).unwrap();
-        let scan = latest_valid_generation(&dir, "job", &accept_job).unwrap();
+        save_checkpoint(&FsStorage, &generation_path(&dir, "job", 3), &wrong).unwrap();
+        let scan = latest_valid_generation(&FsStorage, &dir, "job", &accept_job).unwrap();
         assert_eq!(scan.valid.as_ref().map(|(g, _, _)| *g), Some(0));
         assert_eq!(scan.quarantined.len(), 1);
         fs::remove_dir_all(&dir).unwrap();
@@ -1126,9 +1031,6 @@ mod tests {
 
     #[test]
     fn prune_interrupted_at_any_point_leaves_a_loadable_checkpoint() {
-        if !serde_json_available() {
-            return;
-        }
         let ckpt = SearchCheckpoint::new(0xfade, 11);
         let accept =
             |_: u64, c: &SearchCheckpoint| -> Result<(), CheckpointError> { c.verify(0xfade, 11) };
@@ -1141,23 +1043,23 @@ mod tests {
             let _ = fs::remove_dir_all(&dir);
             fs::create_dir_all(&dir).unwrap();
             for g in 0..6u64 {
-                save_checkpoint(&generation_path(&dir, "job", g), &ckpt).unwrap();
+                save_checkpoint(&FsStorage, &generation_path(&dir, "job", g), &ckpt).unwrap();
             }
             let storage = StopAfterN {
                 budget: std::sync::Mutex::new(killed_after),
             };
-            let result = prune_with(&storage, &dir, 2);
+            let result = prune(&storage, &dir, 2);
             if killed_after < 4 {
                 assert!(result.is_err(), "prune should have been interrupted");
             } else {
                 assert_eq!(result.unwrap().removed_generations, 4);
             }
-            let scan = latest_valid_generation(&dir, "job", &accept).unwrap();
+            let scan = latest_valid_generation(&FsStorage, &dir, "job", &accept).unwrap();
             let (generation, path, _) = scan.valid.expect("a checkpoint must survive");
             // Deletion is oldest-first, so the newest generation is
             // untouched no matter where the kill landed.
             assert_eq!(generation, 5);
-            assert_eq!(load_checkpoint(&path).unwrap(), ckpt);
+            assert_eq!(load_checkpoint(&FsStorage, &path).unwrap(), ckpt);
             assert!(scan.quarantined.is_empty());
             fs::remove_dir_all(&dir).unwrap();
         }
@@ -1170,14 +1072,14 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let victim = dir.join("job.gen-3.json");
         fs::write(&victim, b"corrupt bytes").unwrap();
-        let dest = quarantine_file(&victim).unwrap();
+        let dest = quarantine_file(&FsStorage, &victim).unwrap();
         assert_eq!(dest, dir.join("quarantine").join("job.gen-3.json"));
         assert!(!victim.exists());
         assert_eq!(fs::read(&dest).unwrap(), b"corrupt bytes");
         // Quarantined files are invisible to the generation scan and to
         // prune's sweep.
         assert_eq!(latest_generation(&dir, "job").unwrap(), None);
-        assert_eq!(prune(&dir, 1).unwrap(), PruneReport::default());
+        assert_eq!(prune(&FsStorage, &dir, 1).unwrap(), PruneReport::default());
         assert!(dest.exists());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1187,12 +1089,12 @@ mod tests {
         let path = tmp_path("garbage.json");
         std::fs::write(&path, "not a checkpoint").unwrap();
         assert!(matches!(
-            load_checkpoint(&path),
+            load_checkpoint(&FsStorage, &path),
             Err(CheckpointError::Parse(_))
         ));
         let _ = std::fs::remove_file(&path);
         assert!(matches!(
-            load_checkpoint(&path),
+            load_checkpoint(&FsStorage, &path),
             Err(CheckpointError::Io(_))
         ));
     }

@@ -69,10 +69,8 @@ mod storage;
 
 pub use checkpoint::{
     generation_path, graph_fingerprint, latest_generation, latest_valid_generation,
-    latest_valid_generation_with, load_checkpoint, load_checkpoint_with, prune, prune_with,
-    quarantine_file, quarantine_file_with, save_checkpoint, save_checkpoint_with, CheckpointConfig,
-    CheckpointError, CheckpointIncumbent, GenerationScan, PruneReport, SearchCheckpoint,
-    CHECKPOINT_SCHEMA_VERSION,
+    load_checkpoint, prune, quarantine_file, save_checkpoint, CheckpointConfig, CheckpointError,
+    CheckpointIncumbent, GenerationScan, PruneReport, SearchCheckpoint, CHECKPOINT_SCHEMA_VERSION,
 };
 pub use eval::{
     evaluate_plan, evaluate_plan_avg, evaluate_plan_pipelined, PipelinedOutcome, StepOutcome,
@@ -80,9 +78,8 @@ pub use eval::{
 pub use pesto_obs::CancelToken;
 pub use pipeline::{DegradationReason, Pesto, PestoConfig, PestoError, PestoOutcome, StageTiming};
 pub use robust::{
-    evaluate_robustness, repair_after_outage, replace_after_drift, replace_after_drift_from_report,
-    replace_after_drift_observed, DriftReplaceOutcome, RepairOutcome, RobustnessConfig,
-    RobustnessReport, ROBUSTNESS_SCHEMA_VERSION,
+    evaluate_robustness, repair_after_outage, replace_after_drift, DriftReplaceOutcome,
+    RepairOutcome, RobustnessConfig, RobustnessReport, ROBUSTNESS_SCHEMA_VERSION,
 };
 pub use storage::{ChaosPlan, ChaosStorage, FsStorage, Storage};
 

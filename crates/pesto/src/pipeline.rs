@@ -3,15 +3,15 @@
 use crate::checkpoint::{
     self, CheckpointConfig, CheckpointError, CheckpointIncumbent, SearchCheckpoint,
 };
-use pesto_coarsen::{coarsen_with_stats, CoarsenConfig};
+use crate::storage::FsStorage;
+use pesto_coarsen::{coarsen_with_stats, CoarsenConfig, Coarsening};
 use pesto_cost::{CommModel, Profiler};
-use pesto_graph::{Cluster, FrozenGraph, GraphError, Plan};
-use pesto_ilp::{CheckpointSink, IlpError, PestoPlacer, PlacerConfig, SolvePath};
-use pesto_obs::{CancelToken, Obs, SolverEventKind};
+use pesto_graph::{Cluster, FrozenGraph, GraphError, Placement, Plan};
+use pesto_ilp::{CheckpointSink, Evaluator, IlpError, PestoPlacer, PlacerConfig, SolvePath};
+use pesto_obs::{CancelToken, Obs, RobustMutex, SolverEventKind};
 use pesto_sim::{PipelineStats, SimError, Simulator};
 use std::error::Error;
 use std::fmt;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Pipeline configuration.
@@ -332,7 +332,8 @@ pub struct StageTiming {
     /// Stage name: one of `profile`, `coarsen`, `solve`, `refine`,
     /// `schedule`, `simulate` (degraded runs skip the middle stages;
     /// sharded runs record `profile`, `partition`, `solve`, `stitch`,
-    /// `simulate`).
+    /// `refine`, `schedule`, `simulate`, with `refine` only when
+    /// [`PestoConfig::refinement_passes`] is positive).
     pub stage: &'static str,
     /// Wall-clock duration of the stage, µs.
     pub wall_us: f64,
@@ -389,7 +390,7 @@ pub struct PestoOutcome {
     pub pipeline: Option<PipelineStats>,
     /// Per-op mean observed compute times from the pipelined run's spans
     /// (`None` entries for ops with no measurement) — ready to feed
-    /// [`crate::replace_after_drift_observed`], closing the
+    /// [`crate::replace_after_drift`], closing the
     /// observe→detect→re-place loop without hand-built vectors. `None`
     /// as a whole when `pipeline_steps <= 1`.
     pub observed_op_us: Option<Vec<Option<f64>>>,
@@ -405,22 +406,18 @@ pub struct PestoOutcome {
 
 /// Hill climbing on the fine graph at merged-group granularity: for each
 /// coarse vertex, try moving all its members to each other GPU and keep
-/// the first improvement of the fine ETF-scheduled makespan (with a memory
-/// penalty mirroring the hybrid solver's).
+/// the first improvement of the fine placement's [`Evaluator::cost`].
 ///
 /// Returns the refined placement and whether `deadline` cut the climb
 /// short (the incumbent placement is still valid in that case).
-#[allow(clippy::too_many_arguments)]
 fn refine_by_group_flips(
-    estimated: &FrozenGraph,
+    eval: &Evaluator<'_>,
     cluster: &Cluster,
-    comm: &CommModel,
-    coarsening: &pesto_coarsen::Coarsening,
-    mut placement: pesto_graph::Placement,
-    sim: &Simulator<'_>,
+    coarsening: &Coarsening,
+    mut placement: Placement,
     passes: usize,
     deadline: Option<Instant>,
-) -> Result<(pesto_graph::Placement, bool), PestoError> {
+) -> Result<(Placement, bool), PestoError> {
     let expired = || deadline.is_some_and(|d| Instant::now() >= d);
     if passes == 0 || cluster.gpu_count() < 2 {
         return Ok((placement, false));
@@ -428,21 +425,7 @@ fn refine_by_group_flips(
     if expired() {
         return Ok((placement, true));
     }
-    let cost_of = |p: pesto_graph::Placement| -> Result<(f64, pesto_graph::Placement), PestoError> {
-        let sched =
-            pesto_ilp::etf_schedule(estimated, cluster, comm, p, sim).map_err(IlpError::from)?;
-        let mut cost = sched.report.makespan_us;
-        let usage = sched.plan.placement.memory_per_device(estimated, cluster);
-        for (d, &used) in usage.iter().enumerate() {
-            let cap = cluster.devices()[d].memory_bytes();
-            if used > cap {
-                cost +=
-                    estimated.total_compute_us() * (1.0 + (used - cap) as f64 / cap.max(1) as f64);
-            }
-        }
-        Ok((cost, sched.plan.placement))
-    };
-    let (mut best_cost, _) = cost_of(placement.clone())?;
+    let (_, mut best_cost) = eval.cost(&placement).map_err(IlpError::from)?;
     let coarse = coarsening.coarse();
     // Visit heavy groups first: they move the makespan the most.
     let mut groups: Vec<pesto_graph::OpId> = coarse
@@ -471,7 +454,7 @@ fn refine_by_group_flips(
                 for &f in members {
                     cand.set_device(f, gpu);
                 }
-                let (cost, cand) = cost_of(cand)?;
+                let (_, cost) = eval.cost(&cand).map_err(IlpError::from)?;
                 if cost < best_cost - 1e-9 {
                     best_cost = cost;
                     placement = cand;
@@ -516,29 +499,6 @@ impl Pesto {
         &self.comm
     }
 
-    /// Runs the plan for [`PestoConfig::pipeline_steps`] pipelined steps
-    /// on the true op times and returns the per-step breakdown together
-    /// with the per-op observation vector extracted from the run's spans
-    /// ([`pesto_sim::SimReport::observed_op_us`]). `None` when
-    /// `pipeline_steps <= 1`.
-    #[allow(clippy::type_complexity)]
-    fn pipelined_stats(
-        &self,
-        graph: &FrozenGraph,
-        cluster: &Cluster,
-        plan: &Plan,
-    ) -> Result<Option<(PipelineStats, Vec<Option<f64>>)>, PestoError> {
-        if self.config.pipeline_steps <= 1 {
-            return Ok(None);
-        }
-        let report = Simulator::new(graph, cluster, self.comm)
-            .with_seed(self.config.seed)
-            .with_steps(self.config.pipeline_steps)
-            .run(plan)?;
-        let observed = report.observed_op_us(graph.op_count());
-        Ok(report.pipeline.map(|p| (p, observed)))
-    }
-
     /// Emits the telemetry `Degradation` event for `reason`, tagged with
     /// how much of the [`PestoConfig::time_budget`] deadline remained at
     /// the moment the pipeline gave up (negative-or-zero budgets and
@@ -579,6 +539,96 @@ impl Pesto {
         Ok(())
     }
 
+    /// The search tail shared by the monolithic and sharded paths:
+    /// group-flip refinement of the fine `placement` over the merged
+    /// groups of `coarsening` (no refine stage when `None`), the
+    /// degradation event, and the fine op-level schedule (the control
+    /// dependencies Pesto injects into TensorFlow, §4) — one ETF pass when
+    /// `explicit_schedule`, framework-default scheduling otherwise (the
+    /// §3.3 fallback for very coarse merges). Both stages score against
+    /// the estimated op times.
+    #[allow(clippy::too_many_arguments)]
+    fn search_tail(
+        &self,
+        estimated: &FrozenGraph,
+        cluster: &Cluster,
+        start: Instant,
+        mut placement: Placement,
+        coarsening: Option<&Coarsening>,
+        explicit_schedule: bool,
+        degradation: &mut Option<DegradationReason>,
+        stage_timings: &mut Vec<StageTiming>,
+    ) -> Result<Plan, PestoError> {
+        self.check_cancel()?;
+        let obs = &self.config.obs;
+        let eval = Evaluator::new(estimated, cluster, self.comm, !self.config.congestion_aware);
+        if let Some(coarsening) = coarsening {
+            let deadline = self.config.time_budget.map(|b| start + b);
+            let (refined, truncated) = timed_stage(obs, stage_timings, "refine", || {
+                refine_by_group_flips(
+                    &eval,
+                    cluster,
+                    coarsening,
+                    placement,
+                    self.config.refinement_passes,
+                    deadline,
+                )
+            })?;
+            placement = refined;
+            if truncated && degradation.is_none() {
+                *degradation = Some(DegradationReason::DeadlineDuringSearch);
+            }
+        }
+        if let Some(reason) = degradation {
+            self.emit_degradation(start, reason);
+        }
+        timed_stage(obs, stage_timings, "schedule", || {
+            if explicit_schedule {
+                Ok(eval.schedule(placement).map_err(IlpError::from)?.plan)
+            } else {
+                Ok(Plan::placement_only(placement))
+            }
+        })
+    }
+
+    /// The honest tail every exit shares: simulates `outcome.plan` on the
+    /// true op times of `graph`, adopts any of `candidates` that simulates
+    /// strictly faster (a candidate that fails to simulate — invalid for
+    /// this graph, or out of memory — is skipped), and runs the
+    /// [`PestoConfig::pipeline_steps`]-step pipelined evaluation of the
+    /// plan kept. Fills `makespan_us`, `pipeline` and `observed_op_us`.
+    fn honest_tail(
+        &self,
+        graph: &FrozenGraph,
+        cluster: &Cluster,
+        mut outcome: PestoOutcome,
+        candidates: impl IntoIterator<Item = Plan>,
+    ) -> Result<PestoOutcome, PestoError> {
+        self.check_cancel()?;
+        let obs = &self.config.obs;
+        let sim = Simulator::new(graph, cluster, self.comm).with_seed(self.config.seed);
+        let report = timed_stage(obs, &mut outcome.stage_timings, "simulate", || {
+            sim.clone().with_obs(obs.clone()).run(&outcome.plan)
+        })?;
+        outcome.makespan_us = report.makespan_us;
+        for candidate in candidates {
+            if let Ok(report) = sim.run(&candidate) {
+                if report.makespan_us < outcome.makespan_us {
+                    outcome.plan = candidate;
+                    outcome.makespan_us = report.makespan_us;
+                }
+            }
+        }
+        if self.config.pipeline_steps > 1 {
+            let report = sim
+                .with_steps(self.config.pipeline_steps)
+                .run(&outcome.plan)?;
+            outcome.observed_op_us = Some(report.observed_op_us(graph.op_count()));
+            outcome.pipeline = report.pipeline;
+        }
+        Ok(outcome)
+    }
+
     /// Builds a degraded-but-valid outcome for the lower rungs of the
     /// fallback ladder: a constructive mSCT plan, or (last resort) every
     /// op on a single device. Honestly simulated on the true op times.
@@ -591,50 +641,39 @@ impl Pesto {
         start: Instant,
         path: SolvePath,
         reason: DegradationReason,
-        mut stage_timings: Vec<StageTiming>,
+        stage_timings: Vec<StageTiming>,
     ) -> Result<PestoOutcome, PestoError> {
         // A cancelled job never degrades: the caller wants no plan at all.
         self.check_cancel()?;
         self.emit_degradation(start, &reason);
-        let obs = &self.config.obs;
         let plan = match path {
             SolvePath::SingleDevice => {
-                Plan::placement_only(pesto_graph::Placement::affinity_default(graph, cluster))
+                Plan::placement_only(Placement::affinity_default(graph, cluster))
             }
             _ => pesto_baselines::m_sct(estimated, cluster, &self.comm),
         };
-        let placement_time = start.elapsed();
-        let explicit_schedule = plan.order.is_some();
-        let report = timed_stage(obs, &mut stage_timings, "simulate", || {
-            Simulator::new(graph, cluster, self.comm)
-                .with_seed(self.config.seed)
-                .with_obs(obs.clone())
-                .run(&plan)
-        })?;
-        let (pipeline, observed_op_us) = match self.pipelined_stats(graph, cluster, &plan)? {
-            Some((stats, observed)) => (Some(stats), Some(observed)),
-            None => (None, None),
-        };
-        Ok(PestoOutcome {
+        let outcome = PestoOutcome {
+            explicit_schedule: plan.order.is_some(),
             plan,
-            makespan_us: report.makespan_us,
-            placement_time,
+            makespan_us: f64::NAN,
+            placement_time: start.elapsed(),
             coarse_op_count: graph.op_count(),
             max_member_count: 1,
             path,
-            explicit_schedule,
             degradation: Some(reason),
             resumed: false,
-            pipeline,
-            observed_op_us,
+            pipeline: None,
+            observed_op_us: None,
             stage_timings,
             shard: None,
-        })
+        };
+        self.honest_tail(graph, cluster, outcome, None)
     }
 
     /// The sharded pipeline path: partition → per-region solve → stitch →
-    /// honest simulation. Taken when [`PestoConfig::shard`] is set and the
-    /// (profiled) graph is larger than the region cap.
+    /// the shared search and honest tails. Taken when
+    /// [`PestoConfig::shard`] is set and the (profiled) graph is larger
+    /// than the region cap.
     #[allow(clippy::too_many_arguments)]
     fn place_sharded(
         &self,
@@ -663,11 +702,11 @@ impl Pesto {
             cancel: self.config.cancel.clone(),
             obs: obs.clone(),
         };
-        let outcome = {
+        let sharded = {
             let _span = obs.span("pipeline.shard");
             sharder.place(estimated, cluster, &run)?
         };
-        let report = outcome.report;
+        let report = sharded.report;
         // The sharder timed its phases; surface them as pipeline stages so
         // `stage_timings` stays the one place operators look.
         stage_timings.push(StageTiming {
@@ -688,108 +727,49 @@ impl Pesto {
 
         // Seam repair at global scope: the same group-flip hill climbing
         // the monolithic path runs, over a fresh coarsening of the whole
-        // graph, evaluated against true ETF makespans. Region solves are
-        // locally good but blind to each other; this is where cross-region
-        // placements get reconciled. Deadline-bounded, so paper-scale runs
-        // stay inside the budget.
-        self.check_cancel()?;
-        let deadline = self.config.time_budget.map(|b| start + b);
-        let mut placement = outcome.placement;
-        let sim_est = Simulator::new(estimated, cluster, self.comm)
-            .with_memory_check(false)
-            .with_infinite_links(!self.config.congestion_aware);
-        if self.config.refinement_passes > 0 {
-            let coarsening = pesto_coarsen::coarsen(
+        // graph. Region solves are locally good but blind to each other;
+        // this is where cross-region placements get reconciled.
+        // Deadline-bounded, so paper-scale runs stay inside the budget.
+        // The full-graph ETF schedule that follows is cheap even at paper
+        // scale, so sharded plans are not penalized with framework-default
+        // scheduling.
+        let coarsening = (self.config.refinement_passes > 0).then(|| {
+            pesto_coarsen::coarsen(
                 estimated,
-                &pesto_coarsen::CoarsenConfig::to_target(self.config.coarsen_target),
-            );
-            let (refined, refine_truncated) =
-                timed_stage(&obs, &mut stage_timings, "refine", || {
-                    refine_by_group_flips(
-                        estimated,
-                        cluster,
-                        &self.comm,
-                        &coarsening,
-                        placement,
-                        &sim_est,
-                        self.config.refinement_passes,
-                        deadline,
-                    )
-                })?;
-            placement = refined;
-            if refine_truncated && degradation.is_none() {
-                degradation = Some(DegradationReason::DeadlineDuringSearch);
-            }
-        }
-        if let Some(reason) = &degradation {
-            self.emit_degradation(start, reason);
-        }
-        // Re-derive the fine op-level schedule (the control dependencies
-        // Pesto injects into TensorFlow, §4): one ETF pass over the full
-        // graph, cheap even at paper scale, so sharded plans are not
-        // penalized with framework-default scheduling.
-        let plan = timed_stage(&obs, &mut stage_timings, "schedule", || {
-            let scheduled = pesto_ilp::etf_schedule(
-                estimated,
-                cluster,
-                &self.comm,
-                placement.clone(),
-                &sim_est,
+                &CoarsenConfig::to_target(self.config.coarsen_target),
             )
-            .map_err(IlpError::from)
-            .map_err(PestoError::from)?;
-            Ok::<Plan, PestoError>(scheduled.plan)
-        })?;
-        let placement_time = start.elapsed();
-
-        self.check_cancel()?;
-        let mut plan = plan;
-        let mut sim_report = timed_stage(&obs, &mut stage_timings, "simulate", || {
-            Simulator::new(graph, cluster, self.comm)
-                .with_seed(self.config.seed)
-                .with_obs(obs.clone())
-                .run(&plan)
-        })?;
-        // mSCT safety net: a decomposed solve can, on unlucky seams, land
-        // behind the global constructive baseline. The baseline is cheap
-        // even at paper scale, so compare honestly and never ship worse
-        // than mSCT (mirrors the resume path's never-worse guard).
-        let msct_plan = pesto_baselines::m_sct(estimated, cluster, &self.comm);
-        if msct_plan
-            .placement
-            .oom_devices(estimated, cluster)
-            .is_empty()
-        {
-            if let Ok(msct_report) = Simulator::new(graph, cluster, self.comm)
-                .with_seed(self.config.seed)
-                .run(&msct_plan)
-            {
-                if msct_report.makespan_us < sim_report.makespan_us {
-                    plan = msct_plan;
-                    sim_report = msct_report;
-                }
-            }
-        }
-        let (pipeline, observed_op_us) = match self.pipelined_stats(graph, cluster, &plan)? {
-            Some((stats, observed)) => (Some(stats), Some(observed)),
-            None => (None, None),
-        };
-        let max_region_ops = report.regions.iter().map(|r| r.ops).max().unwrap_or(0);
-        Ok(PestoOutcome {
+        });
+        let plan = self.search_tail(
+            estimated,
+            cluster,
+            start,
+            sharded.placement,
+            coarsening.as_ref(),
+            true,
+            &mut degradation,
+            &mut stage_timings,
+        )?;
+        let outcome = PestoOutcome {
             plan,
-            makespan_us: sim_report.makespan_us,
-            placement_time,
+            makespan_us: f64::NAN,
+            placement_time: start.elapsed(),
             coarse_op_count: report.regions.len(),
-            max_member_count: max_region_ops,
+            max_member_count: report.regions.iter().map(|r| r.ops).max().unwrap_or(0),
             path: SolvePath::Sharded,
             explicit_schedule: true,
             degradation,
             resumed: false,
-            pipeline,
-            observed_op_us,
+            pipeline: None,
+            observed_op_us: None,
             stage_timings,
             shard: Some(report),
-        })
+        };
+        // mSCT safety net: a decomposed solve can, on unlucky seams, land
+        // behind the global constructive baseline. The baseline is cheap
+        // even at paper scale, so compare honestly and never ship worse
+        // than mSCT.
+        let msct = pesto_baselines::m_sct(estimated, cluster, &self.comm);
+        self.honest_tail(graph, cluster, outcome, Some(msct))
     }
 
     /// Runs the full pipeline on `graph` (whose op times act as ground
@@ -828,13 +808,12 @@ impl Pesto {
         let mut resume_state: Option<SearchCheckpoint> = None;
         if let Some(ck) = &self.config.checkpoint {
             if ck.resume && ck.path.exists() {
-                let loaded = checkpoint::load_checkpoint(&ck.path)?;
+                let loaded = checkpoint::load_checkpoint(&FsStorage, &ck.path)?;
                 loaded.verify(fingerprint.expect("fingerprint computed"), self.config.seed)?;
                 resume_state = Some(loaded);
             }
         }
         let resumed = resume_state.is_some();
-        let deadline = self.config.time_budget.map(|b| start + b);
         let obs = self.config.obs.clone();
         let mut pipe_span = obs.span("pesto.place");
         pipe_span.set_attr("ops", graph.op_count());
@@ -1047,10 +1026,10 @@ impl Pesto {
             let carried_milp = resume_state.as_ref().and_then(|l| l.milp.clone());
             // Snapshots may fire from concurrent restart threads; the
             // temp-file protocol needs them serialized.
-            let write_lock = Mutex::new(());
+            let write_lock = RobustMutex::new(());
             placer_config.hybrid.checkpoint_every = ck.every_iters;
             placer_config.hybrid.checkpoint_sink = Some(CheckpointSink::new(move |state| {
-                let _guard = write_lock.lock().unwrap_or_else(|p| p.into_inner());
+                let _guard = write_lock.lock();
                 let mut ckpt = SearchCheckpoint::new(fp, seed);
                 ckpt.hybrid = Some(state.clone());
                 ckpt.milp = carried_milp.clone();
@@ -1060,15 +1039,15 @@ impl Pesto {
                 });
                 // A failed mid-run snapshot must not kill the search; the
                 // next cadence tick (or the final write) retries.
-                let _ = checkpoint::save_checkpoint(&sink_path, &ckpt);
+                let _ = checkpoint::save_checkpoint(&FsStorage, &sink_path, &ckpt);
             }));
         }
         let placer = PestoPlacer::with_config(self.comm, placer_config);
         let solve_result = timed_stage(&obs, &mut stage_timings, "solve", || {
             placer.place(coarse, cluster)
         });
-        let outcome = match solve_result {
-            Ok(outcome) => outcome,
+        let solved = match solve_result {
+            Ok(solved) => solved,
             // OOM is not recoverable by falling down the ladder: no rung
             // can shrink the model's memory footprint.
             Err(e @ IlpError::Sim(SimError::OutOfMemory(_))) => return Err(e.into()),
@@ -1087,93 +1066,54 @@ impl Pesto {
                 )
             }
         };
-        let mut degradation = outcome
+        let mut degradation = solved
             .deadline_hit
             .then_some(DegradationReason::DeadlineDuringSearch);
 
-        // 4. Expand to the fine graph and refine: group-flip hill climbing
-        //    evaluated on the fine graph closes the residual gap between
-        //    the coarse model and fine-grained reality.
-        self.check_cancel()?;
-        let mut fine_placement = coarsening.expand_placement(&outcome.plan.placement);
-        let sim_est = Simulator::new(&estimated, cluster, self.comm)
-            .with_memory_check(false)
-            .with_infinite_links(!self.config.congestion_aware);
-        let (refined, refine_truncated) = timed_stage(&obs, &mut stage_timings, "refine", || {
-            refine_by_group_flips(
-                &estimated,
-                cluster,
-                &self.comm,
-                &coarsening,
-                fine_placement,
-                &sim_est,
-                self.config.refinement_passes,
-                deadline,
-            )
-        })?;
-        fine_placement = refined;
-        if refine_truncated && degradation.is_none() {
-            degradation = Some(DegradationReason::DeadlineDuringSearch);
-        }
-        if let Some(reason) = &degradation {
-            self.emit_degradation(start, reason);
-        }
-
-        //    Drop explicit scheduling when merged vertices are too large
-        //    (§3.3 fallback); otherwise re-derive the op-level schedule at
-        //    fine granularity (the control dependencies Pesto injects into
-        //    TensorFlow, §4).
+        // 4. Expand to the fine graph, refine and schedule: group-flip hill
+        //    climbing evaluated on the fine graph closes the residual gap
+        //    between the coarse model and fine-grained reality. Explicit
+        //    scheduling is dropped when merged vertices are too large
+        //    (§3.3 fallback).
         let explicit_schedule =
             coarsening.max_member_count() <= self.config.max_members_for_scheduling;
-        let plan = timed_stage(&obs, &mut stage_timings, "schedule", || {
-            if explicit_schedule {
-                Ok(pesto_ilp::etf_schedule(
-                    &estimated,
-                    cluster,
-                    &self.comm,
-                    fine_placement,
-                    &sim_est,
-                )
-                .map_err(IlpError::from)?
-                .plan)
-            } else {
-                Ok::<_, PestoError>(Plan::placement_only(fine_placement))
-            }
-        })?;
-        let placement_time = start.elapsed();
+        let plan = self.search_tail(
+            &estimated,
+            cluster,
+            start,
+            coarsening.expand_placement(&solved.plan.placement),
+            Some(&coarsening),
+            explicit_schedule,
+            &mut degradation,
+            &mut stage_timings,
+        )?;
 
-        // 5. Honest evaluation on the true op times.
-        self.check_cancel()?;
-        let mut plan = plan;
-        let mut report = timed_stage(&obs, &mut stage_timings, "simulate", || {
-            Simulator::new(graph, cluster, self.comm)
-                .with_seed(self.config.seed)
-                .with_obs(obs.clone())
-                .run(&plan)
-        })?;
-
-        // Never-worse guarantee: a resumed run must not finish behind the
-        // incumbent its checkpoint already held. If the continued search
-        // regressed (different refinement trajectory, tighter deadline),
-        // fall back to the checkpointed plan, honestly re-simulated under
-        // the same seed.
-        if let Some(inc) = resume_state.as_ref().and_then(|l| l.incumbent.as_ref()) {
-            if inc.plan.placement.op_count() == graph.op_count() {
-                if let Ok(inc_report) = Simulator::new(graph, cluster, self.comm)
-                    .with_seed(self.config.seed)
-                    .run(&inc.plan)
-                {
-                    if inc_report.makespan_us < report.makespan_us {
-                        plan = inc.plan.clone();
-                        report = inc_report;
-                    }
-                }
-            }
-        }
-        let (pipeline, observed_op_us) = match self.pipelined_stats(graph, cluster, &plan)? {
-            Some((stats, observed)) => (Some(stats), Some(observed)),
-            None => (None, None),
+        // 5. Honest evaluation on the true op times. Never-worse
+        //    guarantee: a resumed run must not finish behind the incumbent
+        //    its checkpoint already held. If the continued search regressed
+        //    (different refinement trajectory, tighter deadline), the
+        //    checkpointed plan wins, honestly re-simulated under the same
+        //    seed.
+        let outcome = PestoOutcome {
+            plan,
+            makespan_us: f64::NAN,
+            placement_time: start.elapsed(),
+            coarse_op_count: coarse.op_count(),
+            max_member_count: coarsening.max_member_count(),
+            path: solved.path,
+            explicit_schedule,
+            degradation,
+            resumed,
+            pipeline: None,
+            observed_op_us: None,
+            stage_timings,
+            shard: None,
         };
+        let incumbent = resume_state
+            .as_ref()
+            .and_then(|l| l.incumbent.as_ref())
+            .map(|inc| inc.plan.clone());
+        let outcome = self.honest_tail(graph, cluster, outcome, incumbent)?;
 
         // The final checkpoint records the finished job: full search
         // state for further warm-starts plus the fine plan with its
@@ -1184,35 +1124,20 @@ impl Pesto {
         if let Some(ck) = &self.config.checkpoint {
             let mut final_ckpt =
                 SearchCheckpoint::new(fingerprint.expect("fingerprint computed"), self.config.seed);
-            final_ckpt.hybrid = outcome.hybrid_state.clone();
-            final_ckpt.milp = outcome
+            final_ckpt.hybrid = solved.hybrid_state;
+            final_ckpt.milp = solved
                 .milp_checkpoint
-                .clone()
-                .or_else(|| resume_state.as_ref().and_then(|l| l.milp.clone()));
+                .or_else(|| resume_state.and_then(|l| l.milp));
             final_ckpt.incumbent = Some(CheckpointIncumbent {
-                plan: plan.clone(),
-                makespan_us: Some(report.makespan_us),
+                plan: outcome.plan.clone(),
+                makespan_us: Some(outcome.makespan_us),
             });
-            checkpoint::save_checkpoint(&ck.path, &final_ckpt)?;
+            checkpoint::save_checkpoint(&FsStorage, &ck.path, &final_ckpt)?;
         }
 
         pipe_span.set_attr("path", format!("{:?}", outcome.path));
-        pipe_span.set_attr("degraded", degradation.is_some());
-        Ok(PestoOutcome {
-            plan,
-            makespan_us: report.makespan_us,
-            placement_time,
-            coarse_op_count: coarse.op_count(),
-            max_member_count: coarsening.max_member_count(),
-            path: outcome.path,
-            explicit_schedule,
-            degradation,
-            resumed,
-            pipeline,
-            observed_op_us,
-            stage_timings,
-            shard: None,
-        })
+        pipe_span.set_attr("degraded", outcome.degradation.is_some());
+        Ok(outcome)
     }
 }
 
@@ -1493,14 +1418,6 @@ mod tests {
         }
     }
 
-    /// The offline stub `serde_json` serializes to `""` and cannot parse;
-    /// resume paths need the real crate.
-    fn serde_json_available() -> bool {
-        serde_json::to_string(&1u8)
-            .map(|s| !s.is_empty())
-            .unwrap_or(false)
-    }
-
     fn ckpt_path(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!(
             "pesto-pipeline-ckpt-{}-{name}.json",
@@ -1525,31 +1442,26 @@ mod tests {
         assert!(!a.resumed, "fresh run must not claim to have resumed");
         assert!(path.exists(), "final checkpoint must be written");
 
-        if serde_json_available() {
-            // Resuming a *finished* job replays every chain's terminal
-            // state: the search adds nothing, and the never-worse guard
-            // keeps the incumbent, so the makespan cannot regress.
-            let resume_config = PestoConfig {
-                checkpoint: Some(CheckpointConfig::resume(&path)),
-                ..config
-            };
-            let b = Pesto::new(resume_config).place(&graph, &cluster).unwrap();
-            assert!(b.resumed);
-            assert!(
-                b.makespan_us <= a.makespan_us + 1e-6,
-                "resume regressed: {} > {}",
-                b.makespan_us,
-                a.makespan_us
-            );
-        }
+        // Resuming a *finished* job replays every chain's terminal
+        // state: the search adds nothing, and the never-worse guard
+        // keeps the incumbent, so the makespan cannot regress.
+        let resume_config = PestoConfig {
+            checkpoint: Some(CheckpointConfig::resume(&path)),
+            ..config
+        };
+        let b = Pesto::new(resume_config).place(&graph, &cluster).unwrap();
+        assert!(b.resumed);
+        assert!(
+            b.makespan_us <= a.makespan_us + 1e-6,
+            "resume regressed: {} > {}",
+            b.makespan_us,
+            a.makespan_us
+        );
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn resuming_against_a_different_graph_is_a_typed_error() {
-        if !serde_json_available() {
-            return; // load path needs real serde_json
-        }
         let path = ckpt_path("mismatch");
         let _ = std::fs::remove_file(&path);
         let graph = ModelSpec::transformer(1, 2, 64).generate(4, 1);

@@ -26,7 +26,7 @@
 use crate::pipeline::PestoError;
 use pesto_cost::{detect_drift, CommModel, DriftConfig, DriftReport};
 use pesto_graph::{Cluster, DeviceId, DeviceKind, LinkType, OpId, Placement, Plan};
-use pesto_ilp::{etf_schedule, HybridConfig, HybridSolver, IlpError};
+use pesto_ilp::{Evaluator, HybridConfig, HybridSolver, IlpError};
 use pesto_obs::{Obs, SolverEventKind};
 use pesto_sim::{FaultPlan, PerturbationSpec, Simulator};
 use serde::Serialize;
@@ -331,6 +331,9 @@ pub fn repair_after_outage(
     // scored by a full ETF re-schedule on the survivors; first-improvement
     // hill climbing repeats until a pass yields nothing or the budget
     // expires. Greedy is only ever replaced by something strictly better.
+    // Ops only move onto GPUs with room, so for a plan that fit before
+    // the outage every scored cost is the plain makespan.
+    let eval = Evaluator::new(graph, &survivors, comm, false);
     if budget > Duration::ZERO && survivors.gpu_count() >= 2 && !stranded.is_empty() {
         let mut region: Vec<OpId> = Vec::new();
         let mut in_region = vec![false; graph.op_count()];
@@ -345,14 +348,7 @@ pub fn repair_after_outage(
                 }
             }
         }
-        let sim = Simulator::new(graph, &survivors, comm).with_memory_check(false);
-        let score_of = |p: Placement| -> Result<f64, PestoError> {
-            Ok(etf_schedule(graph, &survivors, &comm, p, &sim)
-                .map_err(IlpError::from)?
-                .report
-                .makespan_us)
-        };
-        let mut best_score = score_of(placement.clone())?;
+        let (_, mut best_score) = eval.cost(&placement).map_err(IlpError::from)?;
         let expired = || Instant::now() >= search_deadline;
         'passes: loop {
             let mut improved = false;
@@ -372,7 +368,7 @@ pub fn repair_after_outage(
                     }
                     let mut cand = placement.clone();
                     cand.set_device(op, gpu);
-                    let score = score_of(cand.clone())?;
+                    let (_, score) = eval.cost(&cand).map_err(IlpError::from)?;
                     if score < best_score - 1e-9 {
                         best_score = score;
                         used_bytes[current.index()] =
@@ -390,12 +386,7 @@ pub fn repair_after_outage(
         }
     }
 
-    let repaired = {
-        let sim = Simulator::new(graph, &survivors, comm).with_memory_check(false);
-        etf_schedule(graph, &survivors, &comm, placement, &sim)
-            .map_err(pesto_ilp::IlpError::from)?
-            .plan
-    };
+    let repaired = eval.schedule(placement).map_err(IlpError::from)?.plan;
     repaired
         .validate(graph, &survivors)
         .map_err(|e| PestoError::Repair(format!("repaired plan is invalid: {e}")))?;
@@ -431,16 +422,21 @@ pub struct DriftReplaceOutcome {
 }
 
 /// Incremental re-placement after profile drift: compares the observed
-/// per-op times baked into `graph` against the profiled expectations
-/// `expected_us` and, where ops drifted past their dispersion threshold
-/// (see [`detect_drift`]), re-solves *only around them* — every op
-/// outside a drifted colocation group is pinned, and the hybrid search
-/// is warm-started from the current placement. Flagging emits a `drift`
-/// solver event on `obs` whether or not a re-solve follows.
+/// per-op times `observed_us` (one entry per op of `graph`; `None` for
+/// ops with no measurement — the shape of
+/// [`pesto_sim::SimReport::observed_op_us`]) against the profiled
+/// expectations `expected_us` and, where ops drifted past their
+/// dispersion threshold (see [`detect_drift`]), re-solves *only around
+/// them* — every op outside a drifted colocation group is pinned, and the
+/// hybrid search is warm-started from the current placement. Flagging
+/// emits a `drift` solver event on `obs` whether or not a re-solve
+/// follows.
 ///
-/// The re-solved plan only wins if it actually beats the old plan under
-/// the observed times ([`DriftReplaceOutcome::replaced`]); drift
-/// handling never makes things worse.
+/// A copy of `graph` with the finite positive observations substituted
+/// for the modeled compute times is what gets re-simulated and
+/// re-solved, so the re-solved plan only wins if it actually beats the
+/// old plan under what was measured ([`DriftReplaceOutcome::replaced`]);
+/// drift handling never makes things worse.
 ///
 /// `search` bounds the incremental effort (iterations, restarts,
 /// [`HybridConfig::deadline`]); pinning and warm-start fields on it are
@@ -448,52 +444,12 @@ pub struct DriftReplaceOutcome {
 ///
 /// # Errors
 ///
-/// * [`PestoError::InvalidConfig`] if `expected_us` is not one
-///   expectation per op of `graph`;
+/// * [`PestoError::InvalidConfig`] if `expected_us` or `observed_us` is
+///   not one entry per op of `graph`;
 /// * [`PestoError::NoGpus`] for a GPU-less cluster;
 /// * solver and simulation failures.
 #[allow(clippy::too_many_arguments)]
 pub fn replace_after_drift(
-    graph: &pesto_graph::FrozenGraph,
-    expected_us: &[f64],
-    cluster: &Cluster,
-    comm: CommModel,
-    plan: &Plan,
-    drift: &DriftConfig,
-    search: HybridConfig,
-    obs: &Obs,
-) -> Result<DriftReplaceOutcome, PestoError> {
-    let observed: Vec<Option<f64>> = graph
-        .op_ids()
-        .map(|id| Some(graph.op(id).compute_us()))
-        .collect();
-    drift_replace_core(
-        graph,
-        expected_us,
-        &observed,
-        cluster,
-        comm,
-        plan,
-        drift,
-        search,
-        obs,
-    )
-}
-
-/// Like [`replace_after_drift`], but fed a *live* observation vector
-/// (one entry per op; `None` for ops with no measurement) instead of
-/// times baked into the graph — the shape produced by
-/// [`pesto_sim::SimReport::observed_op_us`]. A copy of `graph` with the
-/// finite positive observations substituted for the modeled compute
-/// times is what gets re-simulated and re-solved, so the "never worse"
-/// comparison runs under what was actually measured.
-///
-/// # Errors
-///
-/// As [`replace_after_drift`], plus [`PestoError::InvalidConfig`] if
-/// `observed_us` is not one entry per op.
-#[allow(clippy::too_many_arguments)]
-pub fn replace_after_drift_observed(
     graph: &pesto_graph::FrozenGraph,
     expected_us: &[f64],
     observed_us: &[Option<f64>],
@@ -501,15 +457,22 @@ pub fn replace_after_drift_observed(
     comm: CommModel,
     plan: &Plan,
     drift: &DriftConfig,
-    search: HybridConfig,
+    mut search: HybridConfig,
     obs: &Obs,
 ) -> Result<DriftReplaceOutcome, PestoError> {
-    if observed_us.len() != graph.op_count() {
-        return Err(PestoError::InvalidConfig(format!(
-            "observed_us has {} entries for a {}-op graph",
-            observed_us.len(),
-            graph.op_count()
-        )));
+    for (name, len) in [
+        ("expected_us", expected_us.len()),
+        ("observed_us", observed_us.len()),
+    ] {
+        if len != graph.op_count() {
+            return Err(PestoError::InvalidConfig(format!(
+                "{name} has {len} entries for a {}-op graph",
+                graph.op_count()
+            )));
+        }
+    }
+    if cluster.gpu_count() == 0 {
+        return Err(PestoError::NoGpus);
     }
     let mut thawed = graph.clone().thaw();
     for (i, obs_us) in observed_us.iter().enumerate() {
@@ -522,80 +485,8 @@ pub fn replace_after_drift_observed(
     let observed_graph = thawed
         .freeze()
         .map_err(|e| PestoError::InvalidConfig(format!("observed graph: {e}")))?;
-    drift_replace_core(
-        &observed_graph,
-        expected_us,
-        observed_us,
-        cluster,
-        comm,
-        plan,
-        drift,
-        search,
-        obs,
-    )
-}
-
-/// The end of the observe→act loop: feeds a simulation report's spans
-/// straight into drift detection and incremental re-placement. Sugar for
-/// [`replace_after_drift_observed`] over
-/// [`pesto_sim::SimReport::observed_op_us`].
-///
-/// # Errors
-///
-/// As [`replace_after_drift_observed`].
-#[allow(clippy::too_many_arguments)]
-pub fn replace_after_drift_from_report(
-    graph: &pesto_graph::FrozenGraph,
-    expected_us: &[f64],
-    report: &pesto_sim::SimReport,
-    cluster: &Cluster,
-    comm: CommModel,
-    plan: &Plan,
-    drift: &DriftConfig,
-    search: HybridConfig,
-    obs: &Obs,
-) -> Result<DriftReplaceOutcome, PestoError> {
-    let observed = report.observed_op_us(graph.op_count());
-    replace_after_drift_observed(
-        graph,
-        expected_us,
-        &observed,
-        cluster,
-        comm,
-        plan,
-        drift,
-        search,
-        obs,
-    )
-}
-
-/// Shared tail of the drift-replace entry points: `graph` carries the
-/// observed times (either baked in by the caller or substituted from a
-/// live observation vector), `observed` is the vector handed to
-/// [`detect_drift`].
-#[allow(clippy::too_many_arguments)]
-fn drift_replace_core(
-    graph: &pesto_graph::FrozenGraph,
-    expected_us: &[f64],
-    observed: &[Option<f64>],
-    cluster: &Cluster,
-    comm: CommModel,
-    plan: &Plan,
-    drift: &DriftConfig,
-    mut search: HybridConfig,
-    obs: &Obs,
-) -> Result<DriftReplaceOutcome, PestoError> {
-    if expected_us.len() != graph.op_count() {
-        return Err(PestoError::InvalidConfig(format!(
-            "expected_us has {} entries for a {}-op graph",
-            expected_us.len(),
-            graph.op_count()
-        )));
-    }
-    if cluster.gpu_count() == 0 {
-        return Err(PestoError::NoGpus);
-    }
-    let report = detect_drift(expected_us, observed, drift);
+    let graph = &observed_graph;
+    let report = detect_drift(expected_us, observed_us, drift);
     if obs.is_enabled() {
         obs.solver_event(
             "robust.drift",
@@ -904,9 +795,11 @@ mod tests {
         .place(&graph, &cluster)
         .unwrap();
         let expected: Vec<f64> = graph.op_ids().map(|id| graph.op(id).compute_us()).collect();
+        let observed: Vec<Option<f64>> = expected.iter().copied().map(Some).collect();
         let out = replace_after_drift(
             &graph,
             &expected,
+            &observed,
             &cluster,
             comm(),
             &outcome.plan,
@@ -951,11 +844,16 @@ mod tests {
             thawed.op_mut(id).set_compute_us(t * 2.5);
         }
         let observed = thawed.freeze().unwrap();
+        let observed_us: Vec<Option<f64>> = observed
+            .op_ids()
+            .map(|id| Some(observed.op(id).compute_us()))
+            .collect();
 
         let obs = Obs::enabled();
         let out = replace_after_drift(
-            &observed,
+            &graph,
             &expected,
+            &observed_us,
             &cluster,
             comm(),
             &outcome.plan,
@@ -988,6 +886,7 @@ mod tests {
         let err = replace_after_drift(
             &graph,
             &[1.0, 2.0],
+            &vec![None; graph.op_count()],
             &cluster,
             comm(),
             &outcome.plan,

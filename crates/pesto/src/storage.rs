@@ -14,15 +14,15 @@
 //! The checkpoint layer's checksummed envelope
 //! ([`crate::save_checkpoint`]) is the detection side of this coin: a
 //! torn or bit-flipped write injected here is exactly what
-//! [`crate::latest_valid_generation_with`] must catch, quarantine, and
+//! [`crate::latest_valid_generation`] must catch, quarantine, and
 //! walk past.
 
+use pesto_obs::RobustMutex;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Durable-storage operations the placement service depends on. The
@@ -147,7 +147,7 @@ pub struct ChaosStorage {
     plan: ChaosPlan,
     /// splitmix64 state; a mutex (not an atomic) so each draw advances
     /// the stream exactly once even under concurrent callers.
-    rng: Mutex<u64>,
+    rng: RobustMutex<u64>,
     faults: AtomicU64,
 }
 
@@ -157,14 +157,14 @@ impl ChaosStorage {
         ChaosStorage {
             inner: FsStorage,
             plan,
-            rng: Mutex::new(seed),
+            rng: RobustMutex::new(seed),
             faults: AtomicU64::new(0),
         }
     }
 
     /// One splitmix64 draw.
     fn draw(&self) -> u64 {
-        let mut state = self.rng.lock().unwrap_or_else(|p| p.into_inner());
+        let mut state = self.rng.lock();
         *state = state.wrapping_add(0x9e3779b97f4a7c15);
         let mut z = *state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);

@@ -18,14 +18,6 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
-/// The offline stand-in serde_json serializes everything to "" and parses
-/// nothing, so the CLI's graph/checkpoint files are unusable there.
-fn serde_json_available() -> bool {
-    serde_json::to_string(&1u8)
-        .map(|s| !s.is_empty())
-        .unwrap_or(false)
-}
-
 /// Pulls `X.XX` out of the CLI's `simulated per-step time X.XX ms` line.
 fn step_ms(stderr: &str) -> f64 {
     let tail = stderr
@@ -42,10 +34,6 @@ fn step_ms(stderr: &str) -> f64 {
 
 #[test]
 fn sigkilled_search_resumes_and_matches_the_uninterrupted_run() {
-    if !serde_json_available() {
-        return;
-    }
-
     let out = pesto_bin()
         .args(["generate", "transformer", "2", "2", "128"])
         .output()

@@ -180,7 +180,7 @@ fn deadlocked_schedule_names_the_blocked_op_and_fails_cleanly() {
 fn pipelined_spans_feed_the_drift_detector() {
     use pesto::cost::DriftConfig;
     use pesto::obs::Obs;
-    use pesto::{replace_after_drift_from_report, replace_after_drift_observed};
+    use pesto::replace_after_drift;
 
     let graph = ModelSpec::transformer(1, 2, 64).generate(4, 1);
     let cluster = Cluster::two_gpus();
@@ -210,7 +210,7 @@ fn pipelined_spans_feed_the_drift_detector() {
     // Clean run: the simulator reproduces the profile exactly, so the
     // 4-sigma detector must stay quiet and the plan must come back
     // untouched.
-    let clean = replace_after_drift_observed(
+    let clean = replace_after_drift(
         &graph,
         &expected,
         &observed,
@@ -249,10 +249,10 @@ fn pipelined_spans_feed_the_drift_detector() {
         .with_faults(FaultPlan::new(9).with_straggler(victim, 3.0))
         .run(&outcome.plan)
         .unwrap();
-    let drifted = replace_after_drift_from_report(
+    let drifted = replace_after_drift(
         &graph,
         &expected,
-        &straggled,
+        &straggled.observed_op_us(graph.op_count()),
         &cluster,
         comm(),
         &outcome.plan,
