@@ -561,21 +561,24 @@ impl HybridSolver {
             .map(|o| o.expect("every chain ran at least once"))
             .collect();
 
-        let mut best: Option<(Plan, f64)> = None;
+        let mut best: Option<(Placement, f64)> = None;
         let mut last_err = None;
         let mut deadline_hit = false;
         for res in results {
             match res {
-                Ok((plan, cost, truncated)) => {
+                Ok((placement, cost, truncated)) => {
                     deadline_hit |= truncated;
                     if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-                        best = Some((plan, cost));
+                        best = Some((placement, cost));
                     }
                 }
                 Err(e) => last_err = Some(e),
             }
         }
-        let (plan, _) = best.ok_or_else(|| last_err.unwrap_or(IlpError::NoSolution))?;
+        let (placement, _) = best.ok_or_else(|| last_err.unwrap_or(IlpError::NoSolution))?;
+        // The incumbent's plan, derived once: the evaluator is
+        // deterministic, so this is the plan its cost was measured on.
+        let plan = eval.schedule(placement)?.plan;
 
         // Terminal snapshot: every chain has written its final state.
         let search_state = snapshot(&slots);
@@ -597,9 +600,9 @@ impl HybridSolver {
     }
 }
 
-/// What one restart chain produces: its best plan, that plan's cost,
-/// and whether a deadline truncated the chain.
-type ChainOutcome = Result<(Plan, f64, bool), IlpError>;
+/// What one restart chain produces: its best placement, that placement's
+/// cost, and whether a deadline truncated the chain.
+type ChainOutcome = Result<(Placement, f64, bool), IlpError>;
 
 /// Everything one restart chain needs (bundled to keep `anneal_once`'s
 /// signature manageable).
@@ -708,14 +711,19 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
     restart_span.set_attr("seeded", seed_placement.is_some());
     restart_span.set_attr("resumed", resume.is_some());
 
-    let (mut cur_plan, mut cur_cost) = eval.cost(&placement)?;
-    let mut best = (cur_plan.clone(), cur_cost);
-    if let Some(r) = resume {
-        // Re-derive the incumbent plan from the saved placement (the
-        // evaluator is deterministic, so this reproduces the plan the
-        // interrupted run held).
-        best = eval.cost(&r.best_placement)?;
-    }
+    // Search effort, added to the telemetry once when the chain returns.
+    let mut evaluations = 1u64;
+    let mut accepted = 0u64;
+    let mut cur_cost = eval.cost(&placement)?;
+    let mut best = match resume {
+        // Re-score the saved incumbent (the evaluator is deterministic, so
+        // this reproduces the cost the interrupted run held).
+        Some(r) => {
+            evaluations += 1;
+            (r.best_placement.clone(), eval.cost(&r.best_placement)?)
+        }
+        None => (placement.clone(), cur_cost),
+    };
     let mut truncated = false;
 
     let steps = config.iterations.max(1);
@@ -733,7 +741,7 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
                 next_iter: usize,
                 temp: f64,
                 placement: &Placement,
-                best: &(Plan, f64),
+                best: &(Placement, f64),
                 finished: bool,
                 truncated: bool| {
         slots.lock()[slot_idx] = Some(RestartState {
@@ -743,7 +751,7 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
             temp,
             t0,
             placement: placement.clone(),
-            best_placement: best.0.placement.clone(),
+            best_placement: best.0.clone(),
             best_cost: best.1,
             finished,
             truncated,
@@ -752,6 +760,7 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
 
     if gpu_ops.is_empty() || gpus.len() < 2 || movable.is_empty() {
         save(&rng, steps, temp, &placement, &best, true, false);
+        obs.counter_add("hybrid.evaluations", evaluations);
         return Ok((best.0, best.1, truncated)); // nothing to search
     }
     save(
@@ -833,17 +842,18 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
             }
             move_unit(&mut cand, unit, next);
         }
-        let (cand_plan, cand_cost) = eval.cost(&cand)?;
+        let cand_cost = eval.cost(&cand)?;
+        evaluations += 1;
         let accept = cand_cost < cur_cost
             || rng.gen_bool(((cur_cost - cand_cost) / temp).exp().clamp(0.0, 1.0));
         if accept {
             window_accepts += 1;
-            placement = cand;
-            cur_plan = cand_plan;
+            accepted += 1;
             cur_cost = cand_cost;
             if cur_cost < best.1 {
-                best = (cur_plan.clone(), cur_cost);
+                best = (cand.clone(), cur_cost);
             }
+            placement = cand;
         }
         temp *= cooling;
         if obs.is_enabled() && (it + 1) % sample_every == 0 {
@@ -863,7 +873,8 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
     if !truncated {
         save(&rng, end, temp, &placement, &best, end >= steps, false);
     }
-    let _ = cur_plan; // last accepted plan; the incumbent is what we return
+    obs.counter_add("hybrid.evaluations", evaluations);
+    obs.counter_add("hybrid.accepted", accepted);
     Ok((best.0, best.1, truncated))
 }
 
@@ -1122,6 +1133,37 @@ mod tests {
         let span_names: Vec<String> = obs.spans().iter().map(|s| s.name.clone()).collect();
         assert!(span_names.contains(&"hybrid.solve".to_string()));
         assert!(span_names.contains(&"hybrid.restart".to_string()));
+    }
+
+    #[test]
+    fn search_effort_counts_every_evaluation_only_when_enabled() {
+        let g = search_graph(12);
+        let cluster = Cluster::two_gpus();
+        let obs = Obs::enabled();
+        let cfg = HybridConfig {
+            obs: obs.clone(),
+            ..HybridConfig::quick()
+        };
+        let traced = HybridSolver::new(cfg).solve(&g, &cluster, &comm()).unwrap();
+        // Two chains of 400 iterations: each scores its start placement
+        // and one candidate per iteration.
+        assert_eq!(obs.counter("hybrid.evaluations"), 2 * 401);
+        let accepted = obs.counter("hybrid.accepted");
+        assert!(accepted > 0 && accepted <= 2 * 400, "accepted {accepted}");
+
+        let off = Obs::disabled();
+        let cfg = HybridConfig {
+            obs: off.clone(),
+            ..HybridConfig::quick()
+        };
+        let plain = HybridSolver::new(cfg).solve(&g, &cluster, &comm()).unwrap();
+        assert_eq!(off.counter("hybrid.evaluations"), 0);
+        assert_eq!(off.counter("hybrid.accepted"), 0);
+        assert_eq!(off.metrics_json(), Obs::disabled().metrics_json());
+        assert_eq!(
+            traced.plan, plain.plan,
+            "counting must not steer the search"
+        );
     }
 
     #[test]

@@ -71,4 +71,4 @@ pub use hybrid::{
 pub use listsched::{etf_schedule, Evaluator, ListScheduleResult};
 pub use multi::{MultiGpuIlp, MultiGpuOutcome};
 pub use placer::{PestoPlacer, PlaceOutcome, PlacerConfig, SolvePath};
-pub use rng::SearchRng;
+pub use rng::{splitmix64, SearchRng};

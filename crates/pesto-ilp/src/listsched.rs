@@ -8,7 +8,7 @@
 //! scheduling + simulation inside.
 
 use pesto_cost::CommModel;
-use pesto_graph::{Cluster, FrozenGraph, OpId, Placement, Plan, ScheduleOrder};
+use pesto_graph::{Cluster, DeviceId, FrozenGraph, LinkType, OpId, Placement, Plan, ScheduleOrder};
 use pesto_sim::{SimError, SimReport, Simulator};
 
 /// Scores placements against the paper's objective: the congestion-aware
@@ -23,6 +23,13 @@ use pesto_sim::{SimError, SimReport, Simulator};
 /// Every search in the system scores its candidates here: the hybrid
 /// annealing chains, the pipeline's group-flip refinement and fine
 /// schedule, and outage repair.
+///
+/// Everything that does not depend on the placement is built once, in
+/// [`Evaluator::new`]: the b-levels the ETF pass ranks ready ops by, the
+/// device-pair link table, and the simulator with its out-edge index. A
+/// call allocates only its own per-call buffers, so one evaluator can be
+/// shared by many threads, and every cost is bit-identical to
+/// [`etf_schedule`] plus the penalty.
 ///
 /// # Example
 ///
@@ -40,8 +47,8 @@ use pesto_sim::{SimError, SimReport, Simulator};
 /// let eval = Evaluator::new(&g, &cluster, CommModel::default_v100(), false);
 /// let mut spread = Placement::uniform(2, cluster.gpu(0));
 /// spread.set_device(b, cluster.gpu(1));
-/// let (_, fits) = eval.cost(&spread)?;
-/// let (_, overflows) = eval.cost(&Placement::uniform(2, cluster.gpu(0)))?;
+/// let fits = eval.cost(&spread)?;
+/// let overflows = eval.cost(&Placement::uniform(2, cluster.gpu(0)))?;
 /// assert!((fits - 10.0).abs() < 1e-9);
 /// assert!(overflows > 20.0 + 20.0); // makespan + total-compute penalty
 /// # Ok(())
@@ -54,6 +61,8 @@ pub struct Evaluator<'a> {
     comm: CommModel,
     sim: Simulator<'a>,
     horizon: f64,
+    b_levels: Vec<f64>,
+    routes: Routes,
 }
 
 impl<'a> Evaluator<'a> {
@@ -75,6 +84,8 @@ impl<'a> Evaluator<'a> {
                 .with_memory_check(false)
                 .with_infinite_links(infinite_links),
             horizon: graph.total_compute_us().max(1.0),
+            b_levels: b_levels(graph, &comm),
+            routes: Routes::new(cluster),
         }
     }
 
@@ -84,18 +95,25 @@ impl<'a> Evaluator<'a> {
     ///
     /// [`SimError`] from plan validation or simulation.
     pub fn schedule(&self, placement: Placement) -> Result<ListScheduleResult, SimError> {
-        etf_schedule(self.graph, self.cluster, &self.comm, placement, &self.sim)
+        let order = etf_order(
+            self.graph,
+            self.cluster,
+            &self.comm,
+            &self.b_levels,
+            &self.routes,
+            &placement,
+        )?;
+        simulate_order(placement, order, &self.sim)
     }
 
-    /// The ETF plan of `placement` and its cost: the simulated makespan
+    /// The cost of `placement`: the simulated makespan of its ETF plan
     /// plus the memory-overflow penalty.
     ///
     /// # Errors
     ///
     /// As [`Evaluator::schedule`].
-    pub fn cost(&self, placement: &Placement) -> Result<(Plan, f64), SimError> {
-        let sched = self.schedule(placement.clone())?;
-        let mut cost = sched.report.makespan_us;
+    pub fn cost(&self, placement: &Placement) -> Result<f64, SimError> {
+        let mut cost = self.schedule(placement.clone())?.report.makespan_us;
         let usage = placement.memory_per_device(self.graph, self.cluster);
         for (d, &used) in usage.iter().enumerate() {
             let cap = self.cluster.devices()[d].memory_bytes();
@@ -104,7 +122,7 @@ impl<'a> Evaluator<'a> {
                 cost += self.horizon * (1.0 + overflow_frac);
             }
         }
-        Ok((sched.plan, cost))
+        Ok(cost)
     }
 }
 
@@ -127,19 +145,70 @@ impl ListScheduleResult {
 /// Upward rank (b-level): longest compute+comm path from each op to a sink,
 /// assuming every edge pays its full transfer cost. A classic list-scheduling
 /// priority; independent of placement.
-fn b_levels(graph: &FrozenGraph, cluster: &Cluster, comm: &CommModel) -> Vec<f64> {
-    let _ = cluster;
+fn b_levels(graph: &FrozenGraph, comm: &CommModel) -> Vec<f64> {
     let mut bl = vec![0.0f64; graph.op_count()];
     for &v in graph.topo_order().iter().rev() {
         let mut best_tail = 0.0f64;
         for &(s, bytes) in graph.succs_with_bytes(v) {
             // Pessimistic: price the edge as a GPU-GPU transfer.
-            let c = comm.transfer_us(pesto_graph::LinkType::GpuToGpu, bytes);
+            let c = comm.transfer_us(LinkType::GpuToGpu, bytes);
             best_tail = best_tail.max(c + bl[s.index()]);
         }
         bl[v.index()] = graph.op(v).compute_us() + best_tail;
     }
     bl
+}
+
+/// The directed link a transfer between two devices takes.
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    link: usize,
+    link_type: LinkType,
+    speed: f64,
+}
+
+impl Route {
+    /// Transfer time of `bytes` on this link, µs.
+    fn transfer_us(&self, comm: &CommModel, bytes: u64) -> f64 {
+        comm.transfer_us(self.link_type, bytes) / self.speed
+    }
+}
+
+/// Dense device-pair → [`Route`] table: the link [`Cluster::link_between`]
+/// finds for each ordered pair, looked up in O(1) instead of a scan over
+/// the cluster's links.
+#[derive(Debug)]
+struct Routes {
+    devices: usize,
+    table: Vec<Option<Route>>,
+}
+
+impl Routes {
+    fn new(cluster: &Cluster) -> Self {
+        let devices = cluster.device_count();
+        let mut table = vec![None; devices * devices];
+        // Reverse, so the first link of a pair wins, as in `link_between`.
+        for l in cluster.links().iter().rev() {
+            let (src, dst) = (l.src().index(), l.dst().index());
+            if src < devices && dst < devices {
+                let info = cluster.link(l.id());
+                table[src * devices + dst] = Some(Route {
+                    link: l.id().index(),
+                    link_type: info.link_type(),
+                    speed: info.speed(),
+                });
+            }
+        }
+        Routes { devices, table }
+    }
+
+    fn get(&self, src: DeviceId, dst: DeviceId) -> Result<Route, SimError> {
+        let (s, d) = (src.index(), dst.index());
+        (s < self.devices && d < self.devices)
+            .then(|| self.table[s * self.devices + d])
+            .flatten()
+            .ok_or(SimError::MissingLink { src, dst })
+    }
 }
 
 /// Derives a per-device order for `placement` with an ETF policy and
@@ -150,6 +219,10 @@ fn b_levels(graph: &FrozenGraph, cluster: &Cluster, comm: &CommModel) -> Vec<f64
 /// links), and commits the op that can start soonest, breaking ties by
 /// longer critical tail (b-level). The committed order is then validated on
 /// the event simulator, whose report is returned.
+///
+/// This builds the placement-independent tables on every call; searches
+/// that score many placements of one graph use [`Evaluator`], which builds
+/// them once and returns the same plans.
 ///
 /// # Errors
 ///
@@ -186,9 +259,44 @@ pub fn etf_schedule(
     placement: Placement,
     sim: &Simulator<'_>,
 ) -> Result<ListScheduleResult, SimError> {
-    let n = graph.op_count();
-    let bl = b_levels(graph, cluster, comm);
+    let order = etf_order(
+        graph,
+        cluster,
+        comm,
+        &b_levels(graph, comm),
+        &Routes::new(cluster),
+        &placement,
+    )?;
+    simulate_order(placement, order, sim)
+}
 
+/// Simulates `placement` run in `order` on `sim`.
+fn simulate_order(
+    placement: Placement,
+    order: ScheduleOrder,
+    sim: &Simulator<'_>,
+) -> Result<ListScheduleResult, SimError> {
+    let plan = Plan::with_order(placement, order);
+    let report = sim.run(&plan)?;
+    Ok(ListScheduleResult { plan, report })
+}
+
+/// The ETF pass behind [`etf_schedule`] and [`Evaluator`]: the per-device
+/// order of `placement`, given the graph's b-levels `bl` and the
+/// cluster's `routes`.
+fn etf_order(
+    graph: &FrozenGraph,
+    cluster: &Cluster,
+    comm: &CommModel,
+    bl: &[f64],
+    routes: &Routes,
+    placement: &Placement,
+) -> Result<ScheduleOrder, SimError> {
+    // On very wide frontiers only the highest-priority (b-level) ready ops
+    // are scanned: a standard bounded-lookahead ETF that keeps each step
+    // O(K·deg) instead of O(|ready|·deg) on 20k+-op graphs.
+    const SCAN_LIMIT: usize = 64;
+    let n = graph.op_count();
     let mut device_free = vec![0.0f64; cluster.device_count()];
     let mut link_free = vec![0.0f64; cluster.link_count()];
     let mut finish = vec![0.0f64; n];
@@ -200,25 +308,23 @@ pub fn etf_schedule(
         .map(OpId::from_index)
         .collect();
     let mut order: Vec<Vec<OpId>> = vec![Vec::new(); cluster.device_count()];
-    let mut scheduled = 0usize;
+    // Positions in `ready` scanned this step.
+    let mut scan: Vec<usize> = Vec::new();
 
-    while scheduled < n {
+    for _ in 0..n {
         debug_assert!(!ready.is_empty(), "DAG guarantees progress");
-        // Estimate earliest start for ready ops (without committing). On
-        // very wide frontiers, only the highest-priority (b-level) ops are
-        // scanned — a standard bounded-lookahead ETF that keeps each step
-        // O(K·deg) instead of O(|ready|·deg) on 20k+-op graphs.
-        const SCAN_LIMIT: usize = 64;
-        let scan: Vec<usize> = if ready.len() > SCAN_LIMIT {
-            let mut idxs: Vec<usize> = (0..ready.len()).collect();
-            idxs.select_nth_unstable_by(SCAN_LIMIT - 1, |&a, &b| {
+        // Estimate the earliest start of each scanned ready op (without
+        // committing). A wide frontier is cut down by selecting from
+        // `0..len` in place, so exact b-level ties resolve the same on
+        // every call.
+        scan.clear();
+        scan.extend(0..ready.len());
+        if scan.len() > SCAN_LIMIT {
+            scan.select_nth_unstable_by(SCAN_LIMIT - 1, |&a, &b| {
                 bl[ready[b].index()].total_cmp(&bl[ready[a].index()])
             });
-            idxs.truncate(SCAN_LIMIT);
-            idxs
-        } else {
-            (0..ready.len()).collect()
-        };
+            scan.truncate(SCAN_LIMIT);
+        }
         let mut best: Option<(usize, f64)> = None;
         for &idx in &scan {
             let op = ready[idx];
@@ -229,16 +335,8 @@ pub fn etf_schedule(
                 let arrival = if pdev == dev {
                     finish[p.index()]
                 } else {
-                    let Some(link) = cluster.link_between(pdev, dev) else {
-                        return Err(SimError::MissingLink {
-                            src: pdev,
-                            dst: dev,
-                        });
-                    };
-                    let start = finish[p.index()].max(link_free[link.index()]);
-                    start
-                        + comm.transfer_us(cluster.link(link).link_type(), bytes)
-                            / cluster.link(link).speed()
+                    let route = routes.get(pdev, dev)?;
+                    finish[p.index()].max(link_free[route.link]) + route.transfer_us(comm, bytes)
                 };
                 est = est.max(arrival);
             }
@@ -264,17 +362,10 @@ pub fn etf_schedule(
             let arrival = if pdev == dev {
                 finish[p.index()]
             } else {
-                let Some(link) = cluster.link_between(pdev, dev) else {
-                    return Err(SimError::MissingLink {
-                        src: pdev,
-                        dst: dev,
-                    });
-                };
-                let t0 = finish[p.index()].max(link_free[link.index()]);
-                let t1 = t0
-                    + comm.transfer_us(cluster.link(link).link_type(), bytes)
-                        / cluster.link(link).speed();
-                link_free[link.index()] = t1;
+                let route = routes.get(pdev, dev)?;
+                let t1 =
+                    finish[p.index()].max(link_free[route.link]) + route.transfer_us(comm, bytes);
+                link_free[route.link] = t1;
                 t1
             };
             start = start.max(arrival);
@@ -282,7 +373,6 @@ pub fn etf_schedule(
         finish[op.index()] = start + graph.op(op).compute_us();
         device_free[dev.index()] = finish[op.index()];
         order[dev.index()].push(op);
-        scheduled += 1;
 
         for &s in graph.succs(op) {
             remaining_preds[s.index()] -= 1;
@@ -291,10 +381,7 @@ pub fn etf_schedule(
             }
         }
     }
-
-    let plan = Plan::with_order(placement, ScheduleOrder::from_vecs(order));
-    let report = sim.run(&plan)?;
-    Ok(ListScheduleResult { plan, report })
+    Ok(ScheduleOrder::from_vecs(order))
 }
 
 #[cfg(test)]

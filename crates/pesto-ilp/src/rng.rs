@@ -13,6 +13,18 @@
 //! impls on purpose: the checkpointed byte stream must not depend on
 //! which `rand` version (or distribution algorithm) happens to be linked.
 
+/// One SplitMix64 draw (Steele, Lea & Flood): advances `state` by the
+/// golden-ratio increment and returns its mixed value. The workspace's
+/// one copy: it seeds [`SearchRng`], draws the chaos storage's faults and
+/// serve's retry-backoff jitter.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// xoshiro256** with an extractable/restorable state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchRng {
@@ -25,15 +37,13 @@ impl SearchRng {
     /// produce the degenerate all-zero state).
     pub fn seed_from_u64(seed: u64) -> Self {
         let mut x = seed;
-        let mut next = || {
-            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
         SearchRng {
-            s: [next(), next(), next(), next()],
+            s: [
+                splitmix64(&mut x),
+                splitmix64(&mut x),
+                splitmix64(&mut x),
+                splitmix64(&mut x),
+            ],
         }
     }
 
@@ -87,6 +97,14 @@ impl SearchRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix64_matches_the_published_stream() {
+        let mut state = 0;
+        assert_eq!(splitmix64(&mut state), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(&mut state), 0x6e78_9e6a_a1b9_65f4);
+        assert_eq!(splitmix64(&mut state), 0x06c4_5d18_8009_454f);
+    }
 
     #[test]
     fn deterministic_per_seed() {

@@ -1,0 +1,284 @@
+//! The fast ETF pass against the reference it replaced.
+//!
+//! `reference_etf_schedule` and `b_levels` below are the list scheduler as
+//! it stood before [`Evaluator`] built its placement-independent state
+//! once (b-levels recomputed on every call, a linear link scan per
+//! cross-device predecessor, one scan buffer per step), kept verbatim.
+//! The property: on random DAGs, including frontiers wider than the
+//! 64-op lookahead, random placements on 2- and 4-GPU clusters, with and
+//! without infinite links and with placements that overflow device
+//! memory, the fast path returns the same per-device order, the same
+//! report and the same penalized cost, bit for bit.
+
+use pesto_cost::CommModel;
+use pesto_graph::{
+    Cluster, DeviceKind, FrozenGraph, OpGraph, OpId, Placement, Plan, ScheduleOrder,
+};
+use pesto_ilp::{etf_schedule, splitmix64, Evaluator, ListScheduleResult};
+use pesto_sim::{SimError, Simulator};
+use proptest::prelude::*;
+
+/// Upward rank (b-level): longest compute+comm path from each op to a sink,
+/// assuming every edge pays its full transfer cost. A classic list-scheduling
+/// priority; independent of placement.
+fn b_levels(graph: &FrozenGraph, cluster: &Cluster, comm: &CommModel) -> Vec<f64> {
+    let _ = cluster;
+    let mut bl = vec![0.0f64; graph.op_count()];
+    for &v in graph.topo_order().iter().rev() {
+        let mut best_tail = 0.0f64;
+        for &(s, bytes) in graph.succs_with_bytes(v) {
+            // Pessimistic: price the edge as a GPU-GPU transfer.
+            let c = comm.transfer_us(pesto_graph::LinkType::GpuToGpu, bytes);
+            best_tail = best_tail.max(c + bl[s.index()]);
+        }
+        bl[v.index()] = graph.op(v).compute_us() + best_tail;
+    }
+    bl
+}
+
+fn reference_etf_schedule(
+    graph: &FrozenGraph,
+    cluster: &Cluster,
+    comm: &CommModel,
+    placement: Placement,
+    sim: &Simulator<'_>,
+) -> Result<ListScheduleResult, SimError> {
+    let n = graph.op_count();
+    let bl = b_levels(graph, cluster, comm);
+
+    let mut device_free = vec![0.0f64; cluster.device_count()];
+    let mut link_free = vec![0.0f64; cluster.link_count()];
+    let mut finish = vec![0.0f64; n];
+    let mut remaining_preds: Vec<usize> = (0..n)
+        .map(|i| graph.in_degree(OpId::from_index(i)))
+        .collect();
+    let mut ready: Vec<OpId> = (0..n)
+        .filter(|&i| remaining_preds[i] == 0)
+        .map(OpId::from_index)
+        .collect();
+    let mut order: Vec<Vec<OpId>> = vec![Vec::new(); cluster.device_count()];
+    let mut scheduled = 0usize;
+
+    while scheduled < n {
+        debug_assert!(!ready.is_empty(), "DAG guarantees progress");
+        // Estimate earliest start for ready ops (without committing). On
+        // very wide frontiers, only the highest-priority (b-level) ops are
+        // scanned — a standard bounded-lookahead ETF that keeps each step
+        // O(K·deg) instead of O(|ready|·deg) on 20k+-op graphs.
+        const SCAN_LIMIT: usize = 64;
+        let scan: Vec<usize> = if ready.len() > SCAN_LIMIT {
+            let mut idxs: Vec<usize> = (0..ready.len()).collect();
+            idxs.select_nth_unstable_by(SCAN_LIMIT - 1, |&a, &b| {
+                bl[ready[b].index()].total_cmp(&bl[ready[a].index()])
+            });
+            idxs.truncate(SCAN_LIMIT);
+            idxs
+        } else {
+            (0..ready.len()).collect()
+        };
+        let mut best: Option<(usize, f64)> = None;
+        for &idx in &scan {
+            let op = ready[idx];
+            let dev = placement.device(op);
+            let mut est = device_free[dev.index()];
+            for &(p, bytes) in graph.preds_with_bytes(op) {
+                let pdev = placement.device(p);
+                let arrival = if pdev == dev {
+                    finish[p.index()]
+                } else {
+                    let Some(link) = cluster.link_between(pdev, dev) else {
+                        return Err(SimError::MissingLink {
+                            src: pdev,
+                            dst: dev,
+                        });
+                    };
+                    let start = finish[p.index()].max(link_free[link.index()]);
+                    start
+                        + comm.transfer_us(cluster.link(link).link_type(), bytes)
+                            / cluster.link(link).speed()
+                };
+                est = est.max(arrival);
+            }
+            let better = match best {
+                None => true,
+                Some((bidx, bstart)) => {
+                    est < bstart - 1e-12
+                        || (est < bstart + 1e-12 && bl[op.index()] > bl[ready[bidx].index()])
+                }
+            };
+            if better {
+                best = Some((idx, est));
+            }
+        }
+        let (idx, _) = best.expect("ready set is non-empty");
+        let op = ready.swap_remove(idx);
+        let dev = placement.device(op);
+
+        // Commit: transfers first (updating link availability), then the op.
+        let mut start = device_free[dev.index()];
+        for &(p, bytes) in graph.preds_with_bytes(op) {
+            let pdev = placement.device(p);
+            let arrival = if pdev == dev {
+                finish[p.index()]
+            } else {
+                let Some(link) = cluster.link_between(pdev, dev) else {
+                    return Err(SimError::MissingLink {
+                        src: pdev,
+                        dst: dev,
+                    });
+                };
+                let t0 = finish[p.index()].max(link_free[link.index()]);
+                let t1 = t0
+                    + comm.transfer_us(cluster.link(link).link_type(), bytes)
+                        / cluster.link(link).speed();
+                link_free[link.index()] = t1;
+                t1
+            };
+            start = start.max(arrival);
+        }
+        finish[op.index()] = start + graph.op(op).compute_us();
+        device_free[dev.index()] = finish[op.index()];
+        order[dev.index()].push(op);
+        scheduled += 1;
+
+        for &s in graph.succs(op) {
+            remaining_preds[s.index()] -= 1;
+            if remaining_preds[s.index()] == 0 {
+                ready.push(s);
+            }
+        }
+    }
+
+    let plan = Plan::with_order(placement, ScheduleOrder::from_vecs(order));
+    let report = sim.run(&plan)?;
+    Ok(ListScheduleResult { plan, report })
+}
+
+/// The penalized cost as the evaluator defined it: makespan plus, per
+/// overflowing device, the graph's total compute (at least 1 µs) scaled
+/// by `1 + overflow / capacity`.
+fn reference_cost(
+    graph: &FrozenGraph,
+    cluster: &Cluster,
+    comm: &CommModel,
+    placement: &Placement,
+    infinite_links: bool,
+) -> (ListScheduleResult, f64) {
+    let sim = Simulator::new(graph, cluster, *comm)
+        .with_memory_check(false)
+        .with_infinite_links(infinite_links);
+    let sched = reference_etf_schedule(graph, cluster, comm, placement.clone(), &sim)
+        .expect("reference schedules the placement");
+    let horizon = graph.total_compute_us().max(1.0);
+    let mut cost = sched.report.makespan_us;
+    let usage = placement.memory_per_device(graph, cluster);
+    for (d, &used) in usage.iter().enumerate() {
+        let cap = cluster.devices()[d].memory_bytes();
+        if used > cap {
+            let overflow_frac = (used - cap) as f64 / cap.max(1) as f64;
+            cost += horizon * (1.0 + overflow_frac);
+        }
+    }
+    (sched, cost)
+}
+
+/// One generated case: a DAG, a cluster, a placement and the link model.
+#[derive(Debug)]
+struct Case {
+    graph: FrozenGraph,
+    cluster: Cluster,
+    placement: Placement,
+    infinite_links: bool,
+    wide: bool,
+}
+
+/// Builds a case from `seed`. Op times come from a small set, so exact
+/// b-level ties are common; a `wide` case adds a layer of 65-130 roots,
+/// so the first ETF steps take the bounded-lookahead selection.
+fn build_case(n: usize, wide: bool, four_gpus: bool, infinite_links: bool, seed: u64) -> Case {
+    let mut state = seed;
+    let mut draw = |bound: u64| splitmix64(&mut state) % bound;
+    let gpus = if four_gpus { 4 } else { 2 };
+    // Memory per GPU is drawn low enough that many placements overflow.
+    let mut cluster = Cluster::homogeneous(gpus, 2_000 + draw(20_000));
+    if draw(2) == 0 {
+        let (gpu0, gpu1) = (cluster.gpu(0), cluster.gpu(1));
+        cluster = cluster.with_link_speed(gpu0, gpu1, 0.5);
+    }
+    let roots = if wide { 65 + draw(66) as usize } else { 0 };
+    let mut g = OpGraph::new("random");
+    let mut ids = Vec::new();
+    for i in 0..roots + n {
+        let kind = if draw(10) == 0 {
+            DeviceKind::Cpu
+        } else {
+            DeviceKind::Gpu
+        };
+        let time = [5.0, 10.0, 10.0, 25.0, 40.0][draw(5) as usize];
+        ids.push(g.add_op(format!("op{i}"), kind, time, draw(1_000)));
+    }
+    for v in (roots..roots + n).filter(|&v| v > 0) {
+        for _ in 0..draw(4) {
+            let u = draw(v as u64) as usize;
+            let bytes = [0, 4096, 1 << 20, 8 << 20][draw(4) as usize];
+            let _ = g.add_edge(ids[u], ids[v], bytes);
+        }
+    }
+    let graph = g.freeze().expect("edges point forward");
+    let mut placement = Placement::affinity_default(&graph, &cluster);
+    for &id in &ids {
+        if graph.op(id).kind() == DeviceKind::Gpu {
+            placement.set_device(id, cluster.gpu(draw(gpus as u64) as usize));
+        }
+    }
+    Case {
+        graph,
+        cluster,
+        placement,
+        infinite_links,
+        wide,
+    }
+}
+
+fn arb_case() -> impl Strategy<Value = Case> {
+    (
+        2usize..120,
+        0u8..3,
+        any::<bool>(),
+        any::<bool>(),
+        any::<u64>(),
+    )
+        .prop_map(|(n, wide, four, infinite, seed)| build_case(n, wide == 0, four, infinite, seed))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn fast_etf_is_bit_identical_to_the_reference(case in arb_case()) {
+        let Case { graph, cluster, placement, infinite_links, wide } = case;
+        let comm = CommModel::default_v100();
+        if wide {
+            prop_assert!(graph.op_ids().filter(|&id| graph.in_degree(id) == 0).count() > 64);
+        }
+        let (reference, reference_cost) =
+            reference_cost(&graph, &cluster, &comm, &placement, infinite_links);
+        // `{:?}` prints every f64 in its shortest round-trip form, so equal
+        // renderings are equal bits.
+        let bits = |r: &ListScheduleResult| format!("{:?} {:?}", r.plan, r.report);
+
+        let eval = Evaluator::new(&graph, &cluster, comm, infinite_links);
+        let fast = eval.schedule(placement.clone()).expect("evaluator schedules");
+        prop_assert_eq!(bits(&fast), bits(&reference));
+        let cost = eval.cost(&placement).expect("evaluator scores");
+        prop_assert_eq!(cost.to_bits(), reference_cost.to_bits());
+
+        // The public wrapper, on the same simulator the reference used.
+        let sim = Simulator::new(&graph, &cluster, comm)
+            .with_memory_check(false)
+            .with_infinite_links(infinite_links);
+        let wrapped = etf_schedule(&graph, &cluster, &comm, placement, &sim)
+            .expect("wrapper schedules");
+        prop_assert_eq!(bits(&wrapped), bits(&reference));
+    }
+}

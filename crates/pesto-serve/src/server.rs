@@ -38,6 +38,7 @@ use crate::http::{client_request, read_request, ClientResponse, Request, Request
 use crate::job::{JobSpec, JobState, TerminalRecord};
 use pesto::cost::Profiler;
 use pesto::graph::{Cluster, FrozenGraph};
+use pesto::ilp::splitmix64;
 use pesto::obs::{wait_robust, Obs, RobustMutex};
 use pesto::{
     generation_path, graph_fingerprint, latest_generation, latest_valid_generation, prune,
@@ -1108,13 +1109,7 @@ fn backoff_wait(state: &Arc<ServerState>, spec: &JobSpec, attempt: u32, cancel: 
     let exp = base.saturating_mul(1u64 << attempt.min(16)).min(cap);
     // splitmix64 on (seed, attempt): deterministic per job, decorrelated
     // across jobs, no RNG state to carry.
-    let mut z = spec
-        .seed
-        .wrapping_add(attempt as u64)
-        .wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    let jitter = (z ^ (z >> 31)) % base.max(1);
+    let jitter = splitmix64(&mut spec.seed.wrapping_add(attempt as u64)) % base.max(1);
     let total = Duration::from_millis(exp + jitter);
     let deadline = Instant::now() + total;
     while Instant::now() < deadline {

@@ -28,6 +28,11 @@ pub struct Simulator<'a> {
     faults: Option<FaultPlan>,
     steps: usize,
     obs: Obs,
+    /// Out-edge index, built once: `out_edges[out_start[u]..out_start[u +
+    /// 1]]` are the indices into [`FrozenGraph::edges`] of op `u`'s
+    /// out-edges, in edge-list order.
+    out_start: Vec<usize>,
+    out_edges: Vec<usize>,
 }
 
 /// Events carry *instance* indices: with K steps every op (and every edge)
@@ -75,7 +80,24 @@ struct QueuedTransfer {
 impl<'a> Simulator<'a> {
     /// Creates a simulator for a graph on a cluster with the given
     /// communication model. Memory checking is on by default.
+    ///
+    /// The graph's out-edge index is built here, once, so that runs of many
+    /// plans of one graph do not rebuild it.
     pub fn new(graph: &'a FrozenGraph, cluster: &'a Cluster, comm: CommModel) -> Self {
+        let edges = graph.edges();
+        let mut out_start = vec![0usize; graph.op_count() + 1];
+        for &(u, _, _) in edges {
+            out_start[u.index() + 1] += 1;
+        }
+        for i in 1..out_start.len() {
+            out_start[i] += out_start[i - 1];
+        }
+        let mut next = out_start.clone();
+        let mut out_edges = vec![0usize; edges.len()];
+        for (idx, &(u, _, _)) in edges.iter().enumerate() {
+            out_edges[next[u.index()]] = idx;
+            next[u.index()] += 1;
+        }
         Simulator {
             graph,
             cluster,
@@ -86,6 +108,8 @@ impl<'a> Simulator<'a> {
             faults: None,
             steps: 1,
             obs: Obs::disabled(),
+            out_start,
+            out_edges,
         }
     }
 
@@ -235,13 +259,14 @@ impl<'a> Simulator<'a> {
         } else {
             Vec::new()
         };
-        let mut extra_pending = vec![0usize; n];
+        let pipelined_ops = if steps > 1 { n } else { 0 };
+        let mut extra_pending = vec![0usize; pipelined_ops];
         for (_, targets) in &barrier_targets {
             for t in targets {
                 extra_pending[t.index()] += 1;
             }
         }
-        let mut barrier_of: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut barrier_of: Vec<Vec<usize>> = vec![Vec::new(); pipelined_ops];
         for (w, targets) in &barrier_targets {
             barrier_of[*w] = targets.iter().map(|t| t.index()).collect();
         }
@@ -263,7 +288,8 @@ impl<'a> Simulator<'a> {
         let mut started = vec![false; n_inst];
         let mut completed = 0usize;
 
-        // Scheduling state.
+        // Scheduling state. Only the random-ready policy of plans without
+        // an explicit order draws from the per-device ready pools.
         let ordered = plan.order.as_ref();
         let mut order_ptr = vec![0usize; n_dev];
         let mut ready_pool: Vec<Vec<usize>> = vec![Vec::new(); n_dev];
@@ -276,15 +302,10 @@ impl<'a> Simulator<'a> {
         let mut heap: BinaryHeap<Event> = BinaryHeap::new();
         let mut seq = 0u64;
 
-        // Out-edge index: edge indices by producer, so completions touch
-        // only their own edges instead of scanning the whole edge list.
-        let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (idx, &(u, _, _)) in edges.iter().enumerate() {
-            out_edges[u.index()].push(idx);
-        }
-
-        // Fault state, all neutral when no plan is injected. Jitter is per
-        // op *instance*: each pipelined step draws fresh jitter.
+        // Fault state. With no plan injected nothing is allocated, and
+        // every lookup below reads the neutral value (1.0, no outage).
+        // Jitter is per op *instance*: each pipelined step draws fresh
+        // jitter.
         let faults = self.faults.as_ref().filter(|f| !f.is_empty());
         let (jitter, slowdown, degradation, outage): (
             Vec<f64>,
@@ -304,16 +325,13 @@ impl<'a> Simulator<'a> {
                     .map(|d| f.outage_at(DeviceId::from_index(d)))
                     .collect(),
             ),
-            None => (
-                vec![1.0; n_inst],
-                vec![1.0; n_dev],
-                vec![1.0; n_link],
-                vec![None; n_dev],
-            ),
+            None => Default::default(),
         };
+        let factor = |v: &[f64], i: usize| v.get(i).copied().unwrap_or(1.0);
+        let outage_at = |d: usize| outage.get(d).copied().flatten();
         // Single definition of outage death: a device is dead at and after
         // its outage instant. Dispatch and op completion both use it.
-        let device_dead = |d: usize, t: f64| outage[d].is_some_and(|o| t >= o);
+        let device_dead = |d: usize, t: f64| outage_at(d).is_some_and(|o| t >= o);
         let mut attribution = FaultAttribution::default();
 
         let mut op_start = vec![f64::NAN; n_inst];
@@ -334,7 +352,10 @@ impl<'a> Simulator<'a> {
         for inst in 0..n_inst {
             if pending_inputs[inst] == 0 {
                 ready[inst] = true;
-                ready_pool[plan.placement.device(OpId::from_index(inst % n)).index()].push(inst);
+                if ordered.is_none() {
+                    ready_pool[plan.placement.device(OpId::from_index(inst % n)).index()]
+                        .push(inst);
+                }
             }
         }
 
@@ -377,8 +398,8 @@ impl<'a> Simulator<'a> {
                         started[inst] = true;
                         device_busy[d] = true;
                         let base = self.graph.op(OpId::from_index(inst % n)).compute_us();
-                        let s = slowdown[d];
-                        let j = jitter[inst];
+                        let s = factor(&slowdown, d);
+                        let j = factor(&jitter, inst);
                         let dur = base * s * j;
                         attribution.straggler_extra_us += base * j * (s - 1.0);
                         attribution.jitter_extra_us += base * (j - 1.0);
@@ -412,7 +433,7 @@ impl<'a> Simulator<'a> {
                         attribution.stall_delay_us += begin - $now;
                         let nominal =
                             self.comm.transfer_us(link_info.link_type(), bytes) / link_info.speed();
-                        let dur = nominal / degradation[l];
+                        let dur = nominal / factor(&degradation, l);
                         attribution.degraded_transfer_extra_us += dur - nominal;
                         link_busy[l] = !self.infinite_links;
                         transfer_start[qt.einst] = begin;
@@ -443,7 +464,9 @@ impl<'a> Simulator<'a> {
                 if pending_inputs[vi] == 0 {
                     ready[vi] = true;
                     let d = plan.placement.device(OpId::from_index(vi % n)).index();
-                    ready_pool[d].push(vi);
+                    if ordered.is_none() {
+                        ready_pool[d].push(vi);
+                    }
                     try_dispatch!(d, $now);
                 }
             }};
@@ -467,7 +490,7 @@ impl<'a> Simulator<'a> {
                     if device_dead(dev.index(), now) {
                         return Err(SimError::DeviceLost {
                             device: dev,
-                            at_us: outage[dev.index()].expect("dead implies outage"),
+                            at_us: outage_at(dev.index()).expect("dead implies outage"),
                             op,
                         });
                     }
@@ -481,7 +504,8 @@ impl<'a> Simulator<'a> {
                         finish_us: now,
                         step: step as u32,
                     });
-                    for &edge_idx in &out_edges[op.index()] {
+                    let out = self.out_start[op.index()]..self.out_start[op.index() + 1];
+                    for &edge_idx in &self.out_edges[out] {
                         let (_, v, _) = edges[edge_idx];
                         let vdev = plan.placement.device(v);
                         if vdev == dev {
@@ -543,7 +567,7 @@ impl<'a> Simulator<'a> {
             for (inst, _) in started.iter().enumerate().filter(|&(_, &s)| !s) {
                 let op = OpId::from_index(inst % n);
                 let dev = plan.placement.device(op);
-                if let Some(t) = outage[dev.index()] {
+                if let Some(t) = outage_at(dev.index()) {
                     return Err(SimError::DeviceLost {
                         device: dev,
                         at_us: t,

@@ -407,6 +407,8 @@ pub struct PestoOutcome {
 /// Hill climbing on the fine graph at merged-group granularity: for each
 /// coarse vertex, try moving all its members to each other GPU and keep
 /// the first improvement of the fine placement's [`Evaluator::cost`].
+/// A climb that starts adds its `refine.evaluations` and
+/// `refine.improvements` to `obs` once, when it ends.
 ///
 /// Returns the refined placement and whether `deadline` cut the climb
 /// short (the incumbent placement is still valid in that case).
@@ -417,6 +419,7 @@ fn refine_by_group_flips(
     mut placement: Placement,
     passes: usize,
     deadline: Option<Instant>,
+    obs: &Obs,
 ) -> Result<(Placement, bool), PestoError> {
     let expired = || deadline.is_some_and(|d| Instant::now() >= d);
     if passes == 0 || cluster.gpu_count() < 2 {
@@ -425,7 +428,9 @@ fn refine_by_group_flips(
     if expired() {
         return Ok((placement, true));
     }
-    let (_, mut best_cost) = eval.cost(&placement).map_err(IlpError::from)?;
+    let mut evaluations = 1u64;
+    let mut improvements = 0u64;
+    let mut best_cost = eval.cost(&placement).map_err(IlpError::from)?;
     let coarse = coarsening.coarse();
     // Visit heavy groups first: they move the makespan the most.
     let mut groups: Vec<pesto_graph::OpId> = coarse
@@ -438,11 +443,13 @@ fn refine_by_group_flips(
             .compute_us()
             .total_cmp(&coarse.op(a).compute_us())
     });
-    for _ in 0..passes {
+    let mut truncated = false;
+    'passes: for _ in 0..passes {
         let mut improved = false;
         for &cv in &groups {
             if expired() {
-                return Ok((placement, true));
+                truncated = true;
+                break 'passes;
             }
             let members = coarsening.members(cv);
             let current = placement.device(members[0]);
@@ -454,8 +461,10 @@ fn refine_by_group_flips(
                 for &f in members {
                     cand.set_device(f, gpu);
                 }
-                let (_, cost) = eval.cost(&cand).map_err(IlpError::from)?;
+                evaluations += 1;
+                let cost = eval.cost(&cand).map_err(IlpError::from)?;
                 if cost < best_cost - 1e-9 {
+                    improvements += 1;
                     best_cost = cost;
                     placement = cand;
                     improved = true;
@@ -467,7 +476,9 @@ fn refine_by_group_flips(
             break;
         }
     }
-    Ok((placement, false))
+    obs.counter_add("refine.evaluations", evaluations);
+    obs.counter_add("refine.improvements", improvements);
+    Ok((placement, truncated))
 }
 
 /// The Pesto pipeline.
@@ -572,6 +583,7 @@ impl Pesto {
                     placement,
                     self.config.refinement_passes,
                     deadline,
+                    obs,
                 )
             })?;
             placement = refined;
@@ -1344,6 +1356,12 @@ mod tests {
         assert!(obs.gauge("profile.comm_r2.gpu_gpu").is_some());
         // The placer inherited the handle: the solver stack left evidence.
         assert!(spans.iter().any(|s| s.name == "placer.place"));
+        // Search effort: the annealer and the refinement count their
+        // evaluations; an improvement is an evaluation that was kept.
+        assert!(obs.counter("hybrid.evaluations") > 0);
+        assert!(obs.counter("hybrid.accepted") <= obs.counter("hybrid.evaluations"));
+        assert!(obs.counter("refine.evaluations") > 0);
+        assert!(obs.counter("refine.improvements") < obs.counter("refine.evaluations"));
     }
 
     #[test]

@@ -348,7 +348,7 @@ pub fn repair_after_outage(
                 }
             }
         }
-        let (_, mut best_score) = eval.cost(&placement).map_err(IlpError::from)?;
+        let mut best_score = eval.cost(&placement).map_err(IlpError::from)?;
         let expired = || Instant::now() >= search_deadline;
         'passes: loop {
             let mut improved = false;
@@ -368,7 +368,7 @@ pub fn repair_after_outage(
                     }
                     let mut cand = placement.clone();
                     cand.set_device(op, gpu);
-                    let (_, score) = eval.cost(&cand).map_err(IlpError::from)?;
+                    let score = eval.cost(&cand).map_err(IlpError::from)?;
                     if score < best_score - 1e-9 {
                         best_score = score;
                         used_bytes[current.index()] =

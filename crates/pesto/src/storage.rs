@@ -17,6 +17,7 @@
 //! [`crate::latest_valid_generation`] must catch, quarantine, and
 //! walk past.
 
+use pesto_ilp::splitmix64;
 use pesto_obs::RobustMutex;
 use std::fmt;
 use std::fs;
@@ -164,12 +165,7 @@ impl ChaosStorage {
 
     /// One splitmix64 draw.
     fn draw(&self) -> u64 {
-        let mut state = self.rng.lock();
-        *state = state.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
+        splitmix64(&mut self.rng.lock())
     }
 
     /// Whether a fault with probability `per_mille` fires on this draw.
