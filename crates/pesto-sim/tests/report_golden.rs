@@ -3,9 +3,9 @@
 //! Each case simulates a fixed plan of an RNNLM, a NASNet-2-8 or a
 //! Transformer-1-2-64 graph and hashes every field of the report: the
 //! makespan, every op and transfer span, device and link busy times, the
-//! fault attribution and the pipeline stats. The digests were recorded
-//! before the engine's allocation-free rewrite and must not change: any
-//! engine change that moves a single bit of any report fails here.
+//! fault attribution and the pipeline stats. The digests pin the
+//! engine's output: an engine change that moves a single bit of any
+//! report fails here.
 
 use pesto_cost::CommModel;
 use pesto_graph::{Cluster, DeviceId, DeviceKind, FrozenGraph, LinkId, OpId, Placement, Plan};
