@@ -1311,24 +1311,6 @@ mod tests {
     }
 
     #[test]
-    fn threads_one_is_the_serial_path() {
-        // threads=1 must route through the legacy deterministic search:
-        // node counts are exactly reproducible run to run.
-        let milp = branchy_problem_wide(12);
-        let a = milp.solve(&MilpConfig::default()).unwrap();
-        let b = milp
-            .solve(&MilpConfig {
-                threads: 1,
-                ..MilpConfig::default()
-            })
-            .unwrap();
-        assert_eq!(a.nodes_explored, b.nodes_explored);
-        assert_eq!(a.values, b.values);
-        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-        assert_eq!(a.best_bound.to_bits(), b.best_bound.to_bits());
-    }
-
-    #[test]
     fn parallel_incumbent_stress() {
         // Hammer the shared-incumbent path: many short parallel solves with
         // more workers than cores, every one of which must still land on
