@@ -84,13 +84,15 @@ pub struct MilpConfig {
     /// `milp.solve` span, node/prune/pivot counters, and incumbent/gap
     /// solver events.
     pub obs: Obs,
-    /// Number of branch-and-bound worker threads. `1` (the default) runs
-    /// the serial best-first search, which is fully deterministic —
-    /// node-for-node identical across runs — and is the path the
-    /// checkpoint/resume contract is stated against. Values `> 1` explore
-    /// open nodes concurrently against a shared incumbent: the returned
-    /// objective is still optimal within `gap_tolerance`, but node counts
-    /// and tie-broken solution vectors may vary between runs.
+    /// Number of branch-and-bound workers. Every count runs the same
+    /// search loop over one open-node heap and one incumbent; the count
+    /// only decides how many workers run it. `1` (the default) runs it on
+    /// the calling thread, which is fully deterministic — node-for-node
+    /// identical across runs — and is the path the checkpoint/resume
+    /// contract is stated against. Values `> 1` run it on that many scoped
+    /// threads: the returned objective is still optimal within
+    /// `gap_tolerance`, but node counts, the dual bound reported under a
+    /// limit, and tie-broken solution vectors may vary between runs.
     pub threads: usize,
 }
 
@@ -268,721 +270,437 @@ impl MilpProblem {
     ///   integer-feasible point is found;
     /// * [`MilpError::InvalidModel`] for malformed input.
     pub fn solve(&self, config: &MilpConfig) -> Result<MilpSolution, MilpError> {
-        if config.threads > 1 {
-            return self.solve_parallel(config);
-        }
-        let start = Instant::now();
         let obs = &config.obs;
         let mut span = obs.span("milp.solve");
         span.set_attr("vars", self.lp.var_count());
         span.set_attr("constraints", self.lp.constraint_count());
         span.set_attr("binaries", self.binaries.len());
-        let maximize = matches!(self.lp.sense(), Sense::Maximize);
-        // `better(a, b)`: is objective a strictly better than b?
-        let better = |a: f64, b: f64| {
-            if maximize {
-                a > b + 1e-12
-            } else {
-                a < b - 1e-12
-            }
-        };
+        let workers = config.threads.max(1);
+        let search = Search::new(self, config, workers);
+        if workers == 1 {
+            search.work(0);
+        } else {
+            span.set_attr("threads", workers);
+            std::thread::scope(|s| {
+                for w in 0..workers {
+                    let search = &search;
+                    s.spawn(move || {
+                        // Named lanes merge the workers' spans into one
+                        // chrome trace.
+                        if obs.is_enabled() {
+                            obs.name_lane(format!("milp-worker-{w}"));
+                        }
+                        let mut span = obs.span("milp.worker");
+                        span.set_attr("worker", w);
+                        search.work(w);
+                    });
+                }
+            });
+        }
+        search.finish()
+    }
+}
 
-        let mut incumbent: Option<(f64, Vec<f64>)> = None;
+/// Sentinel for "no value" in the atomic `f64` mirrors: `u64::MAX` is a
+/// NaN bit pattern no objective or bound produces. An explicit sentinel
+/// rather than NaN comparison semantics, which would silently invert a
+/// prune test.
+const NO_OBJ: u64 = u64::MAX;
+
+/// Node interval between sampled gap events (incumbent updates always
+/// emit, so the stream stays small but never misses the trajectory's
+/// corners).
+const GAP_SAMPLE_EVERY: usize = 64;
+
+fn load_f64(bits: &AtomicU64) -> Option<f64> {
+    let bits = bits.load(AtomicOrder::SeqCst);
+    (bits != NO_OBJ).then(|| f64::from_bits(bits))
+}
+
+/// The state every worker of one [`MilpProblem::solve`] shares.
+///
+/// Workers pop open nodes from one best-first heap, dive them, and prune
+/// against one incumbent. The incumbent lives behind a mutex (objective
+/// and values) with its objective mirrored in an `AtomicU64`, so the
+/// per-node prune checks never take the lock; a stale read only makes a
+/// prune test conservative (the node is explored and pruned at its own
+/// bound), never unsound.
+///
+/// Idle workers exit once the heap is empty and no worker is mid-dive
+/// (`active == 0`); `active` is incremented under the heap lock at pop and
+/// decremented only after a dive's children are pushed, so the check
+/// cannot race with work being created. A worker that stops (limit,
+/// cancel, error, closed gap) raises `stop`, and the others leave at their
+/// next node.
+struct Search<'a> {
+    problem: &'a MilpProblem,
+    config: &'a MilpConfig,
+    maximize: bool,
+    start: Instant,
+    heap: Mutex<BinaryHeap<OrderedNode>>,
+    incumbent: Mutex<Option<(f64, Vec<f64>)>>,
+    incumbent_obj: AtomicU64,
+    /// Bound of the node each worker holds in hand (`NO_OBJ` when none):
+    /// the dual bound must cover nodes that are neither in the heap nor
+    /// closed.
+    held: Vec<AtomicU64>,
+    nodes: AtomicUsize,
+    active: AtomicUsize,
+    /// The last dual bound computed: the root relaxation, then each gap
+    /// check. Starts at the sense's worst value.
+    bound: AtomicU64,
+    /// The bound of the gap check that closed the search, if one did.
+    closing_bound: AtomicU64,
+    saw_root: AtomicBool,
+    limits_hit: AtomicBool,
+    stop: AtomicBool,
+    error: Mutex<Option<MilpError>>,
+}
+
+impl<'a> Search<'a> {
+    fn new(problem: &'a MilpProblem, config: &'a MilpConfig, workers: usize) -> Self {
+        let maximize = matches!(problem.lp.sense(), Sense::Maximize);
+        let (worst, best) = if maximize {
+            (f64::NEG_INFINITY, f64::INFINITY)
+        } else {
+            (f64::INFINITY, f64::NEG_INFINITY)
+        };
+        let mut incumbent = None;
         if let Some(ws) = &config.warm_start {
-            if self.is_integer_feasible(ws, 1e-6) {
-                let obj = self.lp.objective_value(ws);
-                obs.solver_event("milp", SolverEventKind::Incumbent { objective: obj });
+            if problem.is_integer_feasible(ws, 1e-6) {
+                let obj = problem.lp.objective_value(ws);
+                config
+                    .obs
+                    .solver_event("milp", SolverEventKind::Incumbent { objective: obj });
                 incumbent = Some((obj, ws.clone()));
             }
         }
-
-        let mut heap: BinaryHeap<OrderedNode> = BinaryHeap::new();
-        let root = Node {
-            fixings: Vec::new(),
-            bound: if maximize {
-                f64::INFINITY
-            } else {
-                f64::NEG_INFINITY
-            },
-            depth: 0,
-        };
-        heap.push(OrderedNode {
-            key: f64::INFINITY,
-            node: root,
-        });
-
-        let mut nodes_explored = 0usize;
-        let mut best_bound = if maximize {
-            f64::NEG_INFINITY
-        } else {
-            f64::INFINITY
-        };
-        let mut saw_root = false;
-        let mut limits_hit = false;
-
-        /// Node interval between sampled gap events (incumbent updates
-        /// always emit, so the stream stays small but never misses the
-        /// trajectory's corners).
-        const GAP_SAMPLE_EVERY: usize = 64;
-        let emit_gap = |incumbent: Option<f64>, bound: f64, nodes: usize| {
-            obs.solver_event(
-                "milp",
-                SolverEventKind::Gap {
-                    incumbent: incumbent.unwrap_or(f64::INFINITY),
-                    best_bound: bound,
-                    relative_gap: incumbent.map_or(f64::INFINITY, |inc| relative_gap(inc, bound)),
-                    nodes_explored: nodes as u64,
-                },
-            );
-        };
-
-        // Best-first with plunging: pop the most promising open node, then
-        // dive depth-first along the LP-preferred branch until the subtree
-        // is pruned or integral. Diving finds incumbents quickly on weak
-        // (big-M) relaxations, where pure best-first can wander forever.
-        'outer: while let Some(OrderedNode { node, .. }) = heap.pop() {
-            let mut current = Some(node);
-            while let Some(node) = current.take() {
-                if config.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                    return Err(MilpError::Cancelled);
-                }
-                if nodes_explored >= config.node_limit || start.elapsed() > config.time_limit {
-                    limits_hit = true;
-                    break 'outer;
-                }
-                nodes_explored += 1;
-                obs.counter_add("milp.nodes", 1);
-                if obs.is_enabled() && nodes_explored.is_multiple_of(GAP_SAMPLE_EVERY) {
-                    emit_gap(
-                        incumbent.as_ref().map(|(inc, _)| *inc),
-                        best_bound,
-                        nodes_explored,
-                    );
-                }
-
-                // Prune by parent bound against incumbent.
-                if let Some((inc, _)) = &incumbent {
-                    if !better(node.bound, *inc) && node.depth > 0 {
-                        obs.counter_add("milp.prune.parent_bound", 1);
-                        continue;
-                    }
-                }
-
-                // Solve this node's relaxation.
-                let mut lp = self.lp.clone();
-                for &(v, val) in &node.fixings {
-                    lp.set_var_bounds(v, val, val);
-                }
-                let relax = match lp.solve() {
-                    Ok(s) => s,
-                    Err(LpError::Infeasible) => {
-                        if node.depth == 0 {
-                            return Err(MilpError::Infeasible);
-                        }
-                        obs.counter_add("milp.prune.infeasible", 1);
-                        continue;
-                    }
-                    Err(LpError::Unbounded) => {
-                        if node.depth == 0 {
-                            return Err(MilpError::Unbounded);
-                        }
-                        obs.counter_add("milp.prune.infeasible", 1);
-                        continue;
-                    }
-                    Err(LpError::IterationLimit) => {
-                        // Treat as pruned.
-                        obs.counter_add("milp.prune.iteration_limit", 1);
-                        continue;
-                    }
-                    Err(LpError::InvalidModel(m)) => return Err(MilpError::InvalidModel(m)),
-                    // LpError is non-exhaustive; treat future variants as fatal.
-                    Err(other) => return Err(MilpError::InvalidModel(other.to_string())),
-                };
-                obs.counter_add("milp.lp_pivots", relax.pivots);
-                if node.depth == 0 {
-                    best_bound = relax.objective;
-                    saw_root = true;
-                    emit_gap(
-                        incumbent.as_ref().map(|(inc, _)| *inc),
-                        best_bound,
-                        nodes_explored,
-                    );
-                }
-
-                // Prune by this node's own bound.
-                if let Some((inc, _)) = &incumbent {
-                    if !better(relax.objective, *inc) {
-                        obs.counter_add("milp.prune.bound", 1);
-                        continue;
-                    }
-                }
-
-                // Find most fractional binary.
-                let branch_var = self
-                    .binaries
-                    .iter()
-                    .copied()
-                    .map(|v| (v, frac(relax.values[v.index()])))
-                    .filter(|&(_, f)| f > INT_TOL)
-                    .max_by(|a, b| a.1.total_cmp(&b.1))
-                    .map(|(v, _)| v);
-
-                match branch_var {
-                    None => {
-                        // Integer feasible: candidate incumbent.
-                        let obj = relax.objective;
-                        let accept = incumbent.as_ref().is_none_or(|(inc, _)| better(obj, *inc));
-                        if accept {
-                            obs.solver_event("milp", SolverEventKind::Incumbent { objective: obj });
-                            emit_gap(Some(obj), best_bound, nodes_explored);
-                            incumbent = Some((obj, round_binaries(&relax.values, &self.binaries)));
-                        }
-                    }
-                    Some(v) => {
-                        // Rounding heuristic: snap all binaries, re-check.
-                        let rounded = round_binaries(&relax.values, &self.binaries);
-                        if self.lp.is_feasible(&rounded, 1e-7) {
-                            let obj = self.lp.objective_value(&rounded);
-                            let accept =
-                                incumbent.as_ref().is_none_or(|(inc, _)| better(obj, *inc));
-                            if accept {
-                                obs.solver_event(
-                                    "milp",
-                                    SolverEventKind::Incumbent { objective: obj },
-                                );
-                                emit_gap(Some(obj), best_bound, nodes_explored);
-                                incumbent = Some((obj, rounded));
-                            }
-                        }
-                        // Branch: dive into the side the LP leans toward;
-                        // the other child goes to the best-first heap.
-                        let lean1 = relax.values[v.index()];
-                        let (dive_val, other_val) =
-                            if lean1 >= 0.5 { (1.0, 0.0) } else { (0.0, 1.0) };
-                        let mut dive_fixings = node.fixings.clone();
-                        dive_fixings.push((v, dive_val));
-                        let mut other_fixings = node.fixings;
-                        other_fixings.push((v, other_val));
-                        let base = if maximize {
-                            relax.objective
-                        } else {
-                            -relax.objective
-                        };
-                        heap.push(OrderedNode {
-                            key: base,
-                            node: Node {
-                                fixings: other_fixings,
-                                bound: relax.objective,
-                                depth: node.depth + 1,
-                            },
-                        });
-                        current = Some(Node {
-                            fixings: dive_fixings,
-                            bound: relax.objective,
-                            depth: node.depth + 1,
-                        });
-                    }
-                }
-
-                // Global bound from open nodes (heap + in-hand) ⇒ early stop.
-                if let Some((inc, _)) = &incumbent {
-                    let neutral = if maximize {
-                        f64::NEG_INFINITY
-                    } else {
-                        f64::INFINITY
-                    };
-                    let mut open_best =
-                        heap.iter().map(|n| n.node.bound).fold(neutral, |acc, b| {
-                            if maximize {
-                                acc.max(b)
-                            } else {
-                                acc.min(b)
-                            }
-                        });
-                    if let Some(cur) = &current {
-                        open_best = if maximize {
-                            open_best.max(cur.bound)
-                        } else {
-                            open_best.min(cur.bound)
-                        };
-                    }
-                    let bound = if open_best == neutral {
-                        *inc
-                    } else {
-                        open_best
-                    };
-                    best_bound = bound;
-                    let gap = relative_gap(*inc, bound);
-                    if gap <= config.gap_tolerance {
-                        return Ok(self.finish(
-                            MilpStatus::Optimal,
-                            incumbent.expect("checked"),
-                            bound,
-                            nodes_explored,
-                            obs,
-                        ));
-                    }
-                }
-            }
-        }
-
-        match incumbent {
-            Some((inc, values)) => {
-                // Optimality needs a genuinely exhausted tree: an empty heap
-                // after a limits break (e.g. the root was popped and the
-                // deadline fired before its children were pushed) proves
-                // nothing, and without a processed root there is no bound to
-                // close a gap with — a warm-start incumbent under a ~zero
-                // deadline is Feasible, not Optimal.
-                let exhausted = heap.is_empty() && !limits_hit;
-                let bound = if exhausted || !saw_root {
-                    inc
-                } else {
-                    best_bound
-                };
-                let status = if exhausted
-                    || (saw_root && relative_gap(inc, bound) <= config.gap_tolerance)
-                {
-                    MilpStatus::Optimal
-                } else {
-                    MilpStatus::Feasible
-                };
-                Ok(self.finish(status, (inc, values), bound, nodes_explored, obs))
-            }
-            // An exhausted tree with no incumbent is a proof of
-            // infeasibility; only a limit-terminated search is inconclusive.
-            None if limits_hit => Err(MilpError::NoSolutionFound),
-            None => Err(MilpError::Infeasible),
-        }
-    }
-
-    /// Concurrent best-first branch and bound (`config.threads > 1`).
-    ///
-    /// Workers pop open nodes from a shared heap and dive them exactly like
-    /// the serial search, pruning against a shared incumbent. The incumbent
-    /// lives behind a mutex (objective + values) with its objective
-    /// mirrored in an `AtomicU64` of bit-cast `f64` so the per-node prune
-    /// checks never take the lock; a stale read only makes a prune test
-    /// conservative (the node is explored and pruned at its own bound),
-    /// never unsound. `NO_OBJ` (`u64::MAX`, a NaN bit pattern no feasible
-    /// objective produces) marks "no value yet" — an explicit sentinel
-    /// rather than NaN comparison semantics, which would silently invert
-    /// the prune test.
-    ///
-    /// Termination: a worker that stops mid-dive (limits, cancel, gap met)
-    /// pushes its in-hand node back into the heap, so at join time the
-    /// heap holds *every* open node and the final dual bound is an exact
-    /// scan of it. Idle workers exit once the heap is empty and no worker
-    /// is mid-dive (`active == 0`); `active` is incremented under the heap
-    /// lock at pop and decremented only after a dive's children are
-    /// pushed, so the check cannot race with work being created.
-    fn solve_parallel(&self, config: &MilpConfig) -> Result<MilpSolution, MilpError> {
-        /// Sentinel for "no objective stored" in the atomic f64 mirrors.
-        const NO_OBJ: u64 = u64::MAX;
-        /// Node interval between sampled gap events (mirrors the serial
-        /// path's sampling).
-        const GAP_SAMPLE_EVERY: usize = 64;
-
-        let start = Instant::now();
-        let obs = &config.obs;
-        let mut span = obs.span("milp.solve");
-        span.set_attr("vars", self.lp.var_count());
-        span.set_attr("constraints", self.lp.constraint_count());
-        span.set_attr("binaries", self.binaries.len());
-        span.set_attr("threads", config.threads);
-        let maximize = matches!(self.lp.sense(), Sense::Maximize);
-        let better = |a: f64, b: f64| {
-            if maximize {
-                a > b + 1e-12
-            } else {
-                a < b - 1e-12
-            }
-        };
-        // Heap key: larger = more promising regardless of sense.
-        let node_key = |bound: f64| if maximize { bound } else { -bound };
-
-        let incumbent: Mutex<Option<(f64, Vec<f64>)>> = Mutex::new(None);
-        let incumbent_bits = AtomicU64::new(NO_OBJ);
-        let read_inc = || {
-            let bits = incumbent_bits.load(AtomicOrder::SeqCst);
-            (bits != NO_OBJ).then(|| f64::from_bits(bits))
-        };
-        if let Some(ws) = &config.warm_start {
-            if self.is_integer_feasible(ws, 1e-6) {
-                let obj = self.lp.objective_value(ws);
-                obs.solver_event("milp", SolverEventKind::Incumbent { objective: obj });
-                incumbent_bits.store(obj.to_bits(), AtomicOrder::SeqCst);
-                *incumbent.lock().expect("incumbent lock") = Some((obj, ws.clone()));
-            }
-        }
-
-        let heap: Mutex<BinaryHeap<OrderedNode>> = Mutex::new(BinaryHeap::new());
-        heap.lock().expect("heap lock").push(OrderedNode {
+        let root = OrderedNode {
             key: f64::INFINITY,
             node: Node {
                 fixings: Vec::new(),
-                bound: if maximize {
-                    f64::INFINITY
-                } else {
-                    f64::NEG_INFINITY
-                },
+                bound: best,
                 depth: 0,
             },
-        });
+        };
+        Search {
+            problem,
+            config,
+            maximize,
+            start: Instant::now(),
+            heap: Mutex::new(BinaryHeap::from(vec![root])),
+            incumbent_obj: AtomicU64::new(
+                incumbent.as_ref().map_or(NO_OBJ, |(obj, _)| obj.to_bits()),
+            ),
+            incumbent: Mutex::new(incumbent),
+            held: (0..workers).map(|_| AtomicU64::new(NO_OBJ)).collect(),
+            nodes: AtomicUsize::new(0),
+            active: AtomicUsize::new(0),
+            bound: AtomicU64::new(worst.to_bits()),
+            closing_bound: AtomicU64::new(NO_OBJ),
+            saw_root: AtomicBool::new(false),
+            limits_hit: AtomicBool::new(false),
+            stop: AtomicBool::new(false),
+            error: Mutex::new(None),
+        }
+    }
 
-        let nodes = AtomicUsize::new(0);
-        let active = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let limits_hit = AtomicBool::new(false);
-        let saw_root = AtomicBool::new(false);
-        // Last globally computed dual bound (root relaxation, then each
-        // gap check), used when the heap drains exactly as limits fire.
-        let tracked_bound = AtomicU64::new(NO_OBJ);
-        let error: Mutex<Option<MilpError>> = Mutex::new(None);
-        let fail = |e: MilpError| {
-            let mut slot = error.lock().expect("error lock");
-            if slot.is_none() {
-                *slot = Some(e);
+    /// Is objective `a` strictly better than `b`?
+    fn better(&self, a: f64, b: f64) -> bool {
+        if self.maximize {
+            a > b + 1e-12
+        } else {
+            a < b - 1e-12
+        }
+    }
+
+    fn incumbent_obj(&self) -> Option<f64> {
+        load_f64(&self.incumbent_obj)
+    }
+
+    fn bound(&self) -> f64 {
+        f64::from_bits(self.bound.load(AtomicOrder::SeqCst))
+    }
+
+    fn emit_gap(&self, incumbent: Option<f64>, bound: f64, nodes: usize) {
+        self.config.obs.solver_event(
+            "milp",
+            SolverEventKind::Gap {
+                incumbent: incumbent.unwrap_or(f64::INFINITY),
+                best_bound: bound,
+                relative_gap: incumbent.map_or(f64::INFINITY, |inc| relative_gap(inc, bound)),
+                nodes_explored: nodes as u64,
+            },
+        );
+    }
+
+    fn fail(&self, e: MilpError) {
+        self.error.lock().expect("error lock").get_or_insert(e);
+        self.stop.store(true, AtomicOrder::SeqCst);
+    }
+
+    /// Makes `values` the incumbent if `obj` beats it.
+    fn offer(&self, obj: f64, values: Vec<f64>, nodes: usize) {
+        if self
+            .incumbent_obj()
+            .is_some_and(|inc| !self.better(obj, inc))
+        {
+            return;
+        }
+        let mut incumbent = self.incumbent.lock().expect("incumbent lock");
+        if incumbent
+            .as_ref()
+            .is_none_or(|(inc, _)| self.better(obj, *inc))
+        {
+            self.incumbent_obj.store(obj.to_bits(), AtomicOrder::SeqCst);
+            self.config
+                .obs
+                .solver_event("milp", SolverEventKind::Incumbent { objective: obj });
+            self.emit_gap(Some(obj), self.bound(), nodes);
+            *incumbent = Some((obj, values));
+        }
+    }
+
+    /// The best bound over all open work — the heap, then every node a
+    /// worker holds — or `None` when nothing is open.
+    fn open_bound(&self) -> Option<f64> {
+        let heap = self.heap.lock().expect("heap lock");
+        let held = self.held.iter().filter_map(load_f64);
+        heap.iter()
+            .map(|n| n.node.bound)
+            .chain(held)
+            .reduce(|acc, b| {
+                if self.maximize {
+                    acc.max(b)
+                } else {
+                    acc.min(b)
+                }
+            })
+    }
+
+    /// One worker: pops the most promising open node and dives it, until
+    /// the tree is exhausted or the search stops.
+    fn work(&self, w: usize) {
+        let held = &self.held[w];
+        while !self.stop.load(AtomicOrder::SeqCst) {
+            let popped = {
+                let mut heap = self.heap.lock().expect("heap lock");
+                let node = heap.pop().map(|on| on.node);
+                if let Some(node) = &node {
+                    self.active.fetch_add(1, AtomicOrder::SeqCst);
+                    held.store(node.bound.to_bits(), AtomicOrder::SeqCst);
+                }
+                node
+            };
+            match popped {
+                Some(node) => {
+                    self.dive(node, held);
+                    held.store(NO_OBJ, AtomicOrder::SeqCst);
+                    self.active.fetch_sub(1, AtomicOrder::SeqCst);
+                }
+                None if self.active.load(AtomicOrder::SeqCst) == 0 => break,
+                None => std::thread::sleep(Duration::from_micros(100)),
             }
-            stop.store(true, AtomicOrder::SeqCst);
-        };
-        // Bound of the node each worker holds in hand while diving
-        // (NO_OBJ when idle): the global dual bound must cover nodes that
-        // are neither in the heap nor finished.
-        let dive_bits: Vec<AtomicU64> = (0..config.threads)
-            .map(|_| AtomicU64::new(NO_OBJ))
-            .collect();
+        }
+    }
 
-        let emit_gap = |incumbent: Option<f64>, bound: f64, n: usize| {
-            obs.solver_event(
-                "milp",
-                SolverEventKind::Gap {
-                    incumbent: incumbent.unwrap_or(f64::INFINITY),
-                    best_bound: bound,
-                    relative_gap: incumbent.map_or(f64::INFINITY, |inc| relative_gap(inc, bound)),
-                    nodes_explored: n as u64,
-                },
+    /// Explores `node`, then plunges depth-first along the LP-preferred
+    /// branch until the subtree is pruned or integral; the other child of
+    /// every branching goes to the heap. Diving finds incumbents quickly
+    /// on weak (big-M) relaxations, where pure best-first can wander
+    /// forever.
+    fn dive(&self, node: Node, held: &AtomicU64) {
+        let (config, obs) = (self.config, &self.config.obs);
+        let (lp, binaries) = (&self.problem.lp, &self.problem.binaries);
+        let mut current = Some(node);
+        while let Some(node) = current.take() {
+            if self.stop.load(AtomicOrder::SeqCst) {
+                return;
+            }
+            if config.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+                return self.fail(MilpError::Cancelled);
+            }
+            if self.nodes.load(AtomicOrder::SeqCst) >= config.node_limit
+                || self.start.elapsed() > config.time_limit
+            {
+                self.limits_hit.store(true, AtomicOrder::SeqCst);
+                self.stop.store(true, AtomicOrder::SeqCst);
+                return;
+            }
+            let n = self.nodes.fetch_add(1, AtomicOrder::SeqCst) + 1;
+            obs.counter_add("milp.nodes", 1);
+            if obs.is_enabled() && n.is_multiple_of(GAP_SAMPLE_EVERY) {
+                self.emit_gap(self.incumbent_obj(), self.bound(), n);
+            }
+
+            // Prune by parent bound against incumbent.
+            if node.depth > 0
+                && self
+                    .incumbent_obj()
+                    .is_some_and(|inc| !self.better(node.bound, inc))
+            {
+                obs.counter_add("milp.prune.parent_bound", 1);
+                continue;
+            }
+
+            // Solve this node's relaxation.
+            let mut node_lp = lp.clone();
+            for &(v, val) in &node.fixings {
+                node_lp.set_var_bounds(v, val, val);
+            }
+            let relax = match node_lp.solve() {
+                Ok(s) => s,
+                Err(LpError::Infeasible) if node.depth == 0 => {
+                    return self.fail(MilpError::Infeasible)
+                }
+                Err(LpError::Unbounded) if node.depth == 0 => {
+                    return self.fail(MilpError::Unbounded)
+                }
+                Err(LpError::Infeasible | LpError::Unbounded) => {
+                    obs.counter_add("milp.prune.infeasible", 1);
+                    continue;
+                }
+                Err(LpError::IterationLimit) => {
+                    // Treat as pruned.
+                    obs.counter_add("milp.prune.iteration_limit", 1);
+                    continue;
+                }
+                Err(LpError::InvalidModel(m)) => return self.fail(MilpError::InvalidModel(m)),
+                // LpError is non-exhaustive; treat future variants as fatal.
+                Err(other) => return self.fail(MilpError::InvalidModel(other.to_string())),
+            };
+            obs.counter_add("milp.lp_pivots", relax.pivots);
+            if node.depth == 0 {
+                self.bound
+                    .store(relax.objective.to_bits(), AtomicOrder::SeqCst);
+                self.saw_root.store(true, AtomicOrder::SeqCst);
+                self.emit_gap(self.incumbent_obj(), relax.objective, n);
+            }
+
+            // Prune by this node's own bound.
+            if self
+                .incumbent_obj()
+                .is_some_and(|inc| !self.better(relax.objective, inc))
+            {
+                obs.counter_add("milp.prune.bound", 1);
+                continue;
+            }
+
+            // Find most fractional binary.
+            let branch_var = binaries
+                .iter()
+                .copied()
+                .map(|v| (v, frac(relax.values[v.index()])))
+                .filter(|&(_, f)| f > INT_TOL)
+                .max_by(|a, b| a.1.total_cmp(&b.1))
+                .map(|(v, _)| v);
+
+            match branch_var {
+                // Integer feasible: candidate incumbent.
+                None => self.offer(relax.objective, round_binaries(&relax.values, binaries), n),
+                Some(v) => {
+                    // Rounding heuristic: snap all binaries, re-check.
+                    let rounded = round_binaries(&relax.values, binaries);
+                    if lp.is_feasible(&rounded, 1e-7) {
+                        self.offer(lp.objective_value(&rounded), rounded, n);
+                    }
+                    // Branch: dive into the side the LP leans toward; the
+                    // other child goes to the best-first heap.
+                    let (dive_val, other_val) = if relax.values[v.index()] >= 0.5 {
+                        (1.0, 0.0)
+                    } else {
+                        (0.0, 1.0)
+                    };
+                    let child = |mut fixings: Vec<(VarId, f64)>, val: f64| {
+                        fixings.push((v, val));
+                        Node {
+                            fixings,
+                            bound: relax.objective,
+                            depth: node.depth + 1,
+                        }
+                    };
+                    let dive = child(node.fixings.clone(), dive_val);
+                    let other = child(node.fixings, other_val);
+                    let key = if self.maximize {
+                        relax.objective
+                    } else {
+                        -relax.objective
+                    };
+                    self.heap
+                        .lock()
+                        .expect("heap lock")
+                        .push(OrderedNode { key, node: other });
+                    current = Some(dive);
+                }
+            }
+
+            // Global bound over open work ⇒ gap early stop.
+            held.store(
+                current.as_ref().map_or(NO_OBJ, |n| n.bound.to_bits()),
+                AtomicOrder::SeqCst,
             );
-        };
-        let try_improve = |obj: f64, values: Vec<f64>| {
-            if let Some(inc) = read_inc() {
-                if !better(obj, inc) {
+            if let Some(inc) = self.incumbent_obj() {
+                let bound = self.open_bound().unwrap_or(inc);
+                self.bound.store(bound.to_bits(), AtomicOrder::SeqCst);
+                if relative_gap(inc, bound) <= config.gap_tolerance {
+                    let _ = self.closing_bound.compare_exchange(
+                        NO_OBJ,
+                        bound.to_bits(),
+                        AtomicOrder::SeqCst,
+                        AtomicOrder::SeqCst,
+                    );
+                    self.stop.store(true, AtomicOrder::SeqCst);
                     return;
                 }
             }
-            let mut guard = incumbent.lock().expect("incumbent lock");
-            if guard.as_ref().is_none_or(|(inc, _)| better(obj, *inc)) {
-                incumbent_bits.store(obj.to_bits(), AtomicOrder::SeqCst);
-                obs.solver_event("milp", SolverEventKind::Incumbent { objective: obj });
-                *guard = Some((obj, values));
-            }
-        };
-        // Best bound over all open work: the heap plus every in-flight
-        // dive. `None` when nothing is open.
-        let open_bound = |heap: &BinaryHeap<OrderedNode>| -> Option<f64> {
-            let mut best: Option<f64> = None;
-            let mut fold = |b: f64| {
-                best = Some(match best {
-                    None => b,
-                    Some(acc) if maximize => acc.max(b),
-                    Some(acc) => acc.min(b),
-                });
-            };
-            for n in heap.iter() {
-                fold(n.node.bound);
-            }
-            for d in &dive_bits {
-                let bits = d.load(AtomicOrder::SeqCst);
-                if bits != NO_OBJ {
-                    fold(f64::from_bits(bits));
-                }
-            }
-            best
-        };
+        }
+    }
 
-        std::thread::scope(|s| {
-            // Workers share everything by reference; only the worker index
-            // is captured by value.
-            let (heap, nodes, active, stop, limits_hit) =
-                (&heap, &nodes, &active, &stop, &limits_hit);
-            let (saw_root, tracked_bound, dive_bits) = (&saw_root, &tracked_bound, &dive_bits);
-            let (fail, try_improve, read_inc, emit_gap, open_bound) =
-                (&fail, &try_improve, &read_inc, &emit_gap, &open_bound);
-            let (node_key, better) = (&node_key, &better);
-            for (w, my_bits) in dive_bits.iter().enumerate() {
-                let worker = move || {
-                    // Label this worker's lane so multi-threaded B&B runs
-                    // merge into one chrome-trace with named threads.
-                    if obs.is_enabled() {
-                        obs.name_lane(format!("milp-worker-{w}"));
-                    }
-                    let mut wspan = obs.span("milp.worker");
-                    wspan.set_attr("worker", w);
-                    loop {
-                        if stop.load(AtomicOrder::SeqCst) {
-                            break;
-                        }
-                        let node = {
-                            let mut h = heap.lock().expect("heap lock");
-                            match h.pop() {
-                                Some(on) => {
-                                    active.fetch_add(1, AtomicOrder::SeqCst);
-                                    my_bits.store(on.node.bound.to_bits(), AtomicOrder::SeqCst);
-                                    on.node
-                                }
-                                None => {
-                                    drop(h);
-                                    if active.load(AtomicOrder::SeqCst) == 0 {
-                                        break;
-                                    }
-                                    std::thread::yield_now();
-                                    std::thread::sleep(Duration::from_micros(100));
-                                    continue;
-                                }
-                            }
-                        };
-                        let mut current = Some(node);
-                        while let Some(node) = current.take() {
-                            let push_back = |node: Node| {
-                                heap.lock().expect("heap lock").push(OrderedNode {
-                                    key: node_key(node.bound),
-                                    node,
-                                });
-                            };
-                            if stop.load(AtomicOrder::SeqCst) {
-                                push_back(node);
-                                break;
-                            }
-                            if config.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                                fail(MilpError::Cancelled);
-                                push_back(node);
-                                break;
-                            }
-                            if nodes.load(AtomicOrder::SeqCst) >= config.node_limit
-                                || start.elapsed() > config.time_limit
-                            {
-                                limits_hit.store(true, AtomicOrder::SeqCst);
-                                stop.store(true, AtomicOrder::SeqCst);
-                                push_back(node);
-                                break;
-                            }
-                            let n_now = nodes.fetch_add(1, AtomicOrder::SeqCst) + 1;
-                            obs.counter_add("milp.nodes", 1);
-                            my_bits.store(node.bound.to_bits(), AtomicOrder::SeqCst);
-                            if obs.is_enabled() && n_now.is_multiple_of(GAP_SAMPLE_EVERY) {
-                                let bits = tracked_bound.load(AtomicOrder::SeqCst);
-                                if bits != NO_OBJ {
-                                    emit_gap(read_inc(), f64::from_bits(bits), n_now);
-                                }
-                            }
-
-                            // Prune by parent bound against incumbent.
-                            if node.depth > 0 {
-                                if let Some(inc) = read_inc() {
-                                    if !better(node.bound, inc) {
-                                        obs.counter_add("milp.prune.parent_bound", 1);
-                                        continue;
-                                    }
-                                }
-                            }
-
-                            // Solve this node's relaxation.
-                            let mut lp = self.lp.clone();
-                            for &(v, val) in &node.fixings {
-                                lp.set_var_bounds(v, val, val);
-                            }
-                            let relax = match lp.solve() {
-                                Ok(sol) => sol,
-                                Err(LpError::Infeasible) => {
-                                    if node.depth == 0 {
-                                        fail(MilpError::Infeasible);
-                                        break;
-                                    }
-                                    obs.counter_add("milp.prune.infeasible", 1);
-                                    continue;
-                                }
-                                Err(LpError::Unbounded) => {
-                                    if node.depth == 0 {
-                                        fail(MilpError::Unbounded);
-                                        break;
-                                    }
-                                    obs.counter_add("milp.prune.infeasible", 1);
-                                    continue;
-                                }
-                                Err(LpError::IterationLimit) => {
-                                    obs.counter_add("milp.prune.iteration_limit", 1);
-                                    continue;
-                                }
-                                Err(LpError::InvalidModel(m)) => {
-                                    fail(MilpError::InvalidModel(m));
-                                    break;
-                                }
-                                Err(other) => {
-                                    fail(MilpError::InvalidModel(other.to_string()));
-                                    break;
-                                }
-                            };
-                            obs.counter_add("milp.lp_pivots", relax.pivots);
-                            if node.depth == 0 {
-                                tracked_bound.store(relax.objective.to_bits(), AtomicOrder::SeqCst);
-                                saw_root.store(true, AtomicOrder::SeqCst);
-                                emit_gap(read_inc(), relax.objective, n_now);
-                            }
-
-                            // Prune by this node's own bound.
-                            if let Some(inc) = read_inc() {
-                                if !better(relax.objective, inc) {
-                                    obs.counter_add("milp.prune.bound", 1);
-                                    continue;
-                                }
-                            }
-
-                            // Find most fractional binary.
-                            let branch_var = self
-                                .binaries
-                                .iter()
-                                .copied()
-                                .map(|v| (v, frac(relax.values[v.index()])))
-                                .filter(|&(_, f)| f > INT_TOL)
-                                .max_by(|a, b| a.1.total_cmp(&b.1))
-                                .map(|(v, _)| v);
-
-                            match branch_var {
-                                None => {
-                                    try_improve(
-                                        relax.objective,
-                                        round_binaries(&relax.values, &self.binaries),
-                                    );
-                                }
-                                Some(v) => {
-                                    // Rounding heuristic: snap all binaries, re-check.
-                                    let rounded = round_binaries(&relax.values, &self.binaries);
-                                    if self.lp.is_feasible(&rounded, 1e-7) {
-                                        try_improve(self.lp.objective_value(&rounded), rounded);
-                                    }
-                                    // Branch: dive into the LP-preferred side;
-                                    // the other child goes to the shared heap.
-                                    let lean1 = relax.values[v.index()];
-                                    let (dive_val, other_val) =
-                                        if lean1 >= 0.5 { (1.0, 0.0) } else { (0.0, 1.0) };
-                                    let mut dive_fixings = node.fixings.clone();
-                                    dive_fixings.push((v, dive_val));
-                                    let mut other_fixings = node.fixings;
-                                    other_fixings.push((v, other_val));
-                                    heap.lock().expect("heap lock").push(OrderedNode {
-                                        key: node_key(relax.objective),
-                                        node: Node {
-                                            fixings: other_fixings,
-                                            bound: relax.objective,
-                                            depth: node.depth + 1,
-                                        },
-                                    });
-                                    let dive = Node {
-                                        fixings: dive_fixings,
-                                        bound: relax.objective,
-                                        depth: node.depth + 1,
-                                    };
-                                    my_bits.store(dive.bound.to_bits(), AtomicOrder::SeqCst);
-                                    current = Some(dive);
-                                }
-                            }
-
-                            // Global bound across open work ⇒ gap early stop.
-                            if let Some(inc) = read_inc() {
-                                let open = {
-                                    let h = heap.lock().expect("heap lock");
-                                    open_bound(&h)
-                                };
-                                // The in-hand dive node is covered by this
-                                // worker's own dive_bits entry.
-                                let bound = open.unwrap_or(inc);
-                                tracked_bound.store(bound.to_bits(), AtomicOrder::SeqCst);
-                                if relative_gap(inc, bound) <= config.gap_tolerance {
-                                    stop.store(true, AtomicOrder::SeqCst);
-                                    if let Some(cur) = current.take() {
-                                        push_back(cur);
-                                    }
-                                    break;
-                                }
-                            }
-                        }
-                        my_bits.store(NO_OBJ, AtomicOrder::SeqCst);
-                        active.fetch_sub(1, AtomicOrder::SeqCst);
-                    }
-                };
-                s.spawn(worker);
-            }
-        });
-
-        if let Some(e) = error.into_inner().expect("error lock") {
+    /// The search's result once every worker has returned.
+    fn finish(self) -> Result<MilpSolution, MilpError> {
+        if let Some(e) = self.error.into_inner().expect("error lock") {
             return Err(e);
         }
-        let incumbent = incumbent.into_inner().expect("incumbent lock");
-        let heap = heap.into_inner().expect("heap lock");
-        let nodes_explored = nodes.into_inner();
-        let limits_hit = limits_hit.into_inner();
-        let saw_root = saw_root.into_inner();
-        match incumbent {
-            Some((inc, values)) => {
-                // After the join every open node is back in the heap, so
-                // an empty heap without a limits break is an exhausted
-                // tree (same reasoning as the serial path).
-                let exhausted = heap.is_empty() && !limits_hit;
+        let limits_hit = self.limits_hit.into_inner();
+        let Some((objective, values)) = self.incumbent.into_inner().expect("incumbent lock") else {
+            // An exhausted tree with no incumbent is a proof of
+            // infeasibility; only a limit-terminated search is inconclusive.
+            return Err(if limits_hit {
+                MilpError::NoSolutionFound
+            } else {
+                MilpError::Infeasible
+            });
+        };
+        let (status, best_bound) = match load_f64(&self.closing_bound) {
+            Some(bound) => (MilpStatus::Optimal, bound),
+            None => {
+                // Optimality needs a genuinely exhausted tree: an empty
+                // heap after a limits break (e.g. the root was popped and
+                // the deadline fired before its children were pushed)
+                // proves nothing, and without a processed root there is no
+                // bound to close a gap with — a warm-start incumbent under
+                // a ~zero deadline is Feasible, not Optimal.
+                let exhausted =
+                    self.heap.into_inner().expect("heap lock").is_empty() && !limits_hit;
+                let saw_root = self.saw_root.into_inner();
                 let bound = if exhausted || !saw_root {
-                    inc
+                    objective
                 } else {
-                    // Exact bound over the surviving open nodes; when the
-                    // heap drained exactly as limits fired, fall back to
-                    // the last globally computed bound.
-                    let open = {
-                        let mut best: Option<f64> = None;
-                        for n in heap.iter() {
-                            let b = n.node.bound;
-                            best = Some(match best {
-                                None => b,
-                                Some(acc) if maximize => acc.max(b),
-                                Some(acc) => acc.min(b),
-                            });
-                        }
-                        best
-                    };
-                    match open {
-                        Some(b) => b,
-                        None => {
-                            let bits = tracked_bound.load(AtomicOrder::SeqCst);
-                            if bits != NO_OBJ {
-                                f64::from_bits(bits)
-                            } else {
-                                inc
-                            }
-                        }
-                    }
+                    f64::from_bits(self.bound.into_inner())
                 };
-                let status = if exhausted
-                    || (saw_root && relative_gap(inc, bound) <= config.gap_tolerance)
-                {
+                let closed =
+                    saw_root && relative_gap(objective, bound) <= self.config.gap_tolerance;
+                let status = if exhausted || closed {
                     MilpStatus::Optimal
                 } else {
                     MilpStatus::Feasible
                 };
-                Ok(self.finish(status, (inc, values), bound, nodes_explored, obs))
+                (status, bound)
             }
-            None if limits_hit => Err(MilpError::NoSolutionFound),
-            None => Err(MilpError::Infeasible),
-        }
-    }
-
-    fn finish(
-        &self,
-        status: MilpStatus,
-        incumbent: (f64, Vec<f64>),
-        best_bound: f64,
-        nodes_explored: usize,
-        obs: &Obs,
-    ) -> MilpSolution {
-        let (objective, values) = incumbent;
+        };
+        let nodes_explored = self.nodes.into_inner();
         let gap = relative_gap(objective, best_bound);
-        obs.solver_event(
+        self.config.obs.solver_event(
             "milp",
             SolverEventKind::Gap {
                 incumbent: objective,
@@ -991,14 +709,14 @@ impl MilpProblem {
                 nodes_explored: nodes_explored as u64,
             },
         );
-        MilpSolution {
+        Ok(MilpSolution {
             status,
             objective,
             values,
             best_bound,
             gap,
             nodes_explored,
-        }
+        })
     }
 }
 
@@ -1388,6 +1106,43 @@ mod tests {
             ..MilpConfig::default()
         };
         assert_eq!(milp.solve(&cfg).unwrap_err(), MilpError::NoSolutionFound);
+    }
+
+    #[test]
+    fn parallel_node_limit_reports_a_valid_dual_bound() {
+        // A threaded search stopped by a node limit reports the last dual
+        // bound it computed. That bound must still cover the optimum, and
+        // the status and gap must agree with it.
+        let mut solved = 0;
+        for n in [12, 14, 16] {
+            let milp = branchy_problem_wide(n);
+            let optimum = milp.solve(&MilpConfig::default()).unwrap().objective;
+            for threads in [2, 3, 4] {
+                for node_limit in [20, 40] {
+                    let case = format!("n={n} threads={threads} node_limit={node_limit}");
+                    let cfg = MilpConfig {
+                        threads,
+                        node_limit,
+                        ..MilpConfig::default()
+                    };
+                    let sol = match milp.solve(&cfg) {
+                        Ok(sol) => sol,
+                        Err(MilpError::NoSolutionFound) => continue,
+                        Err(e) => panic!("{case}: {e}"),
+                    };
+                    solved += 1;
+                    assert!(milp.is_integer_feasible(&sol.values, 1e-6), "{case}");
+                    // Maximization: the dual bound is an upper bound.
+                    assert!(sol.best_bound >= optimum, "{case}: {sol:?}");
+                    let gap = (sol.objective - sol.best_bound).abs() / sol.objective.abs().max(1.0);
+                    assert_eq!(sol.gap.to_bits(), gap.to_bits(), "{case}");
+                    if sol.status == MilpStatus::Optimal {
+                        assert!(sol.gap <= cfg.gap_tolerance, "{case}: {sol:?}");
+                    }
+                }
+            }
+        }
+        assert!(solved > 0, "every limited solve ended without an incumbent");
     }
 
     #[test]
