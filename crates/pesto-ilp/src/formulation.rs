@@ -1,4 +1,5 @@
-//! The Pesto 0-1 ILP (paper §3.2.2), built on `pesto-lp`/`pesto-milp`.
+//! The Pesto 0-1 ILP (paper §3.2.2) for two GPUs, built on
+//! `pesto-lp`/`pesto-milp`.
 //!
 //! Variable glossary (matching the paper):
 //!
@@ -15,14 +16,18 @@
 //!   congestion (7) constraint pairs, gated by placement terms so they only
 //!   bind when both parties share a device/link direction.
 //!
-//! The formulation targets the paper's main setting of exactly two GPUs;
-//! the n-GPU extension is served by the hybrid solver.
+//! This module holds what is particular to the paper's main setting of
+//! exactly two GPUs: the `x_i` and `z_k` variables, the memory rules (8)
+//! and the warm start. The scheduling rows, colocation and plan decoding
+//! come from the builder this model shares with the bit-encoded n-GPU
+//! extension, [`MultiGpuIlp`](crate::MultiGpuIlp).
 
-use crate::augment::{AugNode, AugmentedGraph, CommClass};
+use crate::augment::AugmentedGraph;
 use crate::error::IlpError;
+use crate::model::{Builder, Vars};
 use pesto_cost::CommModel;
-use pesto_graph::{Cluster, DeviceKind, FrozenGraph, OpId, Placement, Plan, ScheduleOrder};
-use pesto_lp::{Problem, Relation, Sense, VarId};
+use pesto_graph::{Cluster, FrozenGraph, Plan};
+use pesto_lp::{Relation, VarId};
 use pesto_milp::{MilpCheckpoint, MilpConfig, MilpProblem, MilpSolution, MilpStatus};
 use pesto_sim::Simulator;
 
@@ -86,25 +91,8 @@ pub struct IlpOutcome {
 pub struct IlpModel<'a> {
     graph: &'a FrozenGraph,
     cluster: &'a Cluster,
-    aug: AugmentedGraph,
     milp: MilpProblem,
-    /// `S_i` per augmented node.
-    start_vars: Vec<VarId>,
-    /// `x_i` per op (None for CPU-resident ops).
-    x_vars: Vec<Option<VarId>>,
-    /// `z_k` per augmented node (None for non-GG nodes).
-    z_vars: Vec<Option<VarId>>,
-    cmax: VarId,
-    horizon: f64,
-}
-
-/// Durations of augmented nodes: `p_i` for ops, the transfer estimate for
-/// comm vertices.
-fn node_duration(graph: &FrozenGraph, node: &AugNode) -> f64 {
-    match node {
-        AugNode::Op(id) => graph.op(*id).compute_us(),
-        AugNode::Comm { duration_us, .. } => *duration_us,
-    }
+    vars: Vars,
 }
 
 impl<'a> IlpModel<'a> {
@@ -126,241 +114,54 @@ impl<'a> IlpModel<'a> {
                 cluster.gpu_count()
             )));
         }
-        let aug = AugmentedGraph::build(graph, comm);
-        let n_nodes = aug.node_count();
-
-        // Horizon: everything serialized = safe big-M.
-        let horizon: f64 = aug
-            .nodes()
-            .iter()
-            .map(|n| node_duration(graph, n))
-            .sum::<f64>()
-            .max(1.0);
-        let h = horizon;
-        let gate = 2.0 * h; // must dominate any time difference plus H·δ
-
-        let mut lp = Problem::new(Sense::Minimize);
-        let cmax = lp.add_var("cmax", 0.0, f64::INFINITY, 1.0);
-        let start_vars: Vec<VarId> = (0..n_nodes)
-            .map(|i| lp.add_var(format!("s{i}"), 0.0, f64::INFINITY, 0.0))
-            .collect();
-        let mut binaries = Vec::new();
-
-        // Placement binaries for GPU ops.
-        let mut x_vars: Vec<Option<VarId>> = vec![None; graph.op_count()];
-        for id in graph.op_ids() {
-            if graph.op(id).kind() == DeviceKind::Gpu {
-                let v = lp.add_var(format!("x{}", id.index()), 0.0, 1.0, 0.0);
-                x_vars[id.index()] = Some(v);
-                binaries.push(v);
-            }
-        }
+        let mut b = Builder::new(graph, comm, 1, |id, _| format!("x{}", id.index()));
 
         // z_k indicators for O_GG vertices, with the XOR linearization (5).
-        let mut z_vars: Vec<Option<VarId>> = vec![None; n_nodes];
-        for (k, edge, class, _) in aug.comm_nodes() {
-            if class != CommClass::GpuGpu {
-                continue;
-            }
-            let (a, b, _) = graph.edges()[edge];
-            let xa = x_vars[a.index()].expect("GG endpoint is a GPU op");
-            let xb = x_vars[b.index()].expect("GG endpoint is a GPU op");
-            let z = lp.add_var(format!("z{k}"), 0.0, 1.0, 0.0);
-            binaries.push(z);
-            z_vars[k] = Some(z);
+        for (k, u, v) in b.transfers() {
+            let (xa, xb) = (b.vars.place[u.index()][0], b.vars.place[v.index()][0]);
+            let z = b.transfer_var(k);
             // z <= xa + xb ; z >= xa - xb ; z >= xb - xa ; z <= 2 - xa - xb.
-            lp.add_constraint(vec![(z, 1.0), (xa, -1.0), (xb, -1.0)], Relation::Le, 0.0);
-            lp.add_constraint(vec![(z, 1.0), (xa, -1.0), (xb, 1.0)], Relation::Ge, 0.0);
-            lp.add_constraint(vec![(z, 1.0), (xa, 1.0), (xb, -1.0)], Relation::Ge, 0.0);
-            lp.add_constraint(vec![(z, 1.0), (xa, 1.0), (xb, 1.0)], Relation::Le, 2.0);
+            b.lp.add_constraint(vec![(z, 1.0), (xa, -1.0), (xb, -1.0)], Relation::Le, 0.0);
+            b.lp.add_constraint(vec![(z, 1.0), (xa, -1.0), (xb, 1.0)], Relation::Ge, 0.0);
+            b.lp.add_constraint(vec![(z, 1.0), (xa, 1.0), (xb, -1.0)], Relation::Ge, 0.0);
+            b.lp.add_constraint(vec![(z, 1.0), (xa, 1.0), (xb, 1.0)], Relation::Le, 2.0);
         }
 
-        // Completion expression of node i as linear terms into a constraint:
-        // C_i = S_i + p_i, or S_k + p_k z_k for GG vertices.
-        let completion_terms = |i: usize| -> (Vec<(VarId, f64)>, f64) {
-            let p = node_duration(graph, &aug.nodes()[i]);
-            match z_vars[i] {
-                Some(z) => (vec![(start_vars[i], 1.0), (z, p)], 0.0),
-                None => (vec![(start_vars[i], 1.0)], p),
-            }
-        };
+        b.add_schedule_rows(config.congestion);
 
-        // (1) Precedence on augmented edges: C_i <= S_j.
-        for &(i, j) in aug.edges() {
-            let (mut terms, constant) = completion_terms(i);
-            for t in &mut terms {
-                t.1 = -t.1;
-            }
-            terms.push((start_vars[j], 1.0));
-            lp.add_constraint(terms, Relation::Ge, constant);
-        }
-
-        // (3) C_i <= C_max for every node.
-        for i in 0..n_nodes {
-            let (mut terms, constant) = completion_terms(i);
-            for t in &mut terms {
-                t.1 = -t.1;
-            }
-            terms.push((cmax, 1.0));
-            lp.add_constraint(terms, Relation::Ge, constant);
-        }
-
-        // Reachability on the base graph for pruning redundant disjunctions:
-        // if i must precede j anyway, no δ pair is needed.
-        let reach = reachability_matrix(graph);
-        let unordered_ops = |a: OpId, b: OpId| -> bool {
-            !reach[a.index()][b.index()] && !reach[b.index()][a.index()]
-        };
-
-        // (4) CPU non-overlap: CPU-resident ops share the single CPU.
-        let cpu_ops: Vec<OpId> = graph
+        // (8) Memory constraints over GPU-1's share Σ mem_i·x_i.
+        let terms: Vec<(VarId, f64)> = graph
             .op_ids()
-            .filter(|&id| graph.op(id).kind() != DeviceKind::Gpu)
+            .filter_map(|id| {
+                let x = *b.vars.place[id.index()].first()?;
+                Some((x, graph.op(id).memory_bytes() as f64))
+            })
             .collect();
-        for (ai, &a) in cpu_ops.iter().enumerate() {
-            for &b in cpu_ops.iter().skip(ai + 1) {
-                if !unordered_ops(a, b) {
-                    continue;
-                }
-                let d = lp.add_var(format!("dC_{}_{}", a.index(), b.index()), 0.0, 1.0, 0.0);
-                binaries.push(d);
-                let (sa, sb) = (start_vars[a.index()], start_vars[b.index()]);
-                let (pa, pb) = (graph.op(a).compute_us(), graph.op(b).compute_us());
-                // δ=0: S_a >= C_b ; δ=1: S_b >= C_a.
-                lp.add_constraint(vec![(sa, 1.0), (sb, -1.0), (d, h)], Relation::Ge, pb);
-                lp.add_constraint(vec![(sb, 1.0), (sa, -1.0), (d, -h)], Relation::Ge, pa - h);
-            }
-        }
-
-        // (10) GPU non-overlap, gated on colocation (both on GPU-1 or both
-        // on GPU-0).
-        let gpu_ops: Vec<OpId> = graph
-            .op_ids()
-            .filter(|&id| graph.op(id).kind() == DeviceKind::Gpu)
-            .collect();
-        for (ai, &a) in gpu_ops.iter().enumerate() {
-            for &b in gpu_ops.iter().skip(ai + 1) {
-                if !unordered_ops(a, b) {
-                    continue;
-                }
-                let d = lp.add_var(format!("dG_{}_{}", a.index(), b.index()), 0.0, 1.0, 0.0);
-                binaries.push(d);
-                let (sa, sb) = (start_vars[a.index()], start_vars[b.index()]);
-                let (pa, pb) = (graph.op(a).compute_us(), graph.op(b).compute_us());
-                let xa = x_vars[a.index()].expect("gpu op");
-                let xb = x_vars[b.index()].expect("gpu op");
-                // Gate "both on GPU-1": slack G*(2 - xa - xb).
-                lp.add_constraint(
-                    vec![(sa, 1.0), (sb, -1.0), (d, h), (xa, -gate), (xb, -gate)],
-                    Relation::Ge,
-                    pb - 2.0 * gate,
-                );
-                lp.add_constraint(
-                    vec![(sb, 1.0), (sa, -1.0), (d, -h), (xa, -gate), (xb, -gate)],
-                    Relation::Ge,
-                    pa - h - 2.0 * gate,
-                );
-                // Gate "both on GPU-0": slack G*(xa + xb).
-                lp.add_constraint(
-                    vec![(sa, 1.0), (sb, -1.0), (d, h), (xa, gate), (xb, gate)],
-                    Relation::Ge,
-                    pb,
-                );
-                lp.add_constraint(
-                    vec![(sb, 1.0), (sa, -1.0), (d, -h), (xa, gate), (xb, gate)],
-                    Relation::Ge,
-                    pa - h,
-                );
-            }
-        }
-
-        // (7) Congestion constraints on communication vertices.
-        if config.congestion {
-            add_congestion_constraints(
-                &mut lp,
-                &mut binaries,
-                graph,
-                &aug,
-                &start_vars,
-                &x_vars,
-                &z_vars,
-                &reach,
-                h,
-                gate,
-            );
-        }
-
-        // (8) Memory constraints.
+        let total: f64 = terms.iter().map(|&(_, mem)| mem).sum();
         match config.memory {
             MemoryRule::Off => {}
             MemoryRule::Balance { slack } => {
-                let total: f64 = gpu_ops
-                    .iter()
-                    .map(|&id| graph.op(id).memory_bytes() as f64)
-                    .sum();
                 if total > 0.0 {
-                    let terms: Vec<(VarId, f64)> = gpu_ops
-                        .iter()
-                        .map(|&id| {
-                            (
-                                x_vars[id.index()].expect("gpu op"),
-                                graph.op(id).memory_bytes() as f64,
-                            )
-                        })
-                        .collect();
-                    lp.add_constraint(terms.clone(), Relation::Le, (0.5 + slack) * total);
-                    lp.add_constraint(terms, Relation::Ge, (0.5 - slack) * total);
+                    b.lp.add_constraint(terms.clone(), Relation::Le, (0.5 + slack) * total);
+                    b.lp.add_constraint(terms, Relation::Ge, (0.5 - slack) * total);
                 }
             }
             MemoryRule::Capacity => {
-                let total: f64 = gpu_ops
-                    .iter()
-                    .map(|&id| graph.op(id).memory_bytes() as f64)
-                    .sum();
-                let terms: Vec<(VarId, f64)> = gpu_ops
-                    .iter()
-                    .map(|&id| {
-                        (
-                            x_vars[id.index()].expect("gpu op"),
-                            graph.op(id).memory_bytes() as f64,
-                        )
-                    })
-                    .collect();
                 let cap1 = cluster.devices()[cluster.gpu(1).index()].memory_bytes() as f64;
                 let cap0 = cluster.devices()[cluster.gpu(0).index()].memory_bytes() as f64;
                 // Σ mem·x <= cap1 and Σ mem·(1-x) <= cap0.
-                lp.add_constraint(terms.clone(), Relation::Le, cap1);
-                lp.add_constraint(terms, Relation::Ge, total - cap0);
+                b.lp.add_constraint(terms.clone(), Relation::Le, cap1);
+                b.lp.add_constraint(terms, Relation::Ge, total - cap0);
             }
         }
 
-        // Colocation: all GPU ops in a group share x (paper §3.2.2).
-        let mut groups: std::collections::HashMap<u32, VarId> = std::collections::HashMap::new();
-        for &id in &gpu_ops {
-            if let Some(gid) = graph.op(id).colocation_group() {
-                let x = x_vars[id.index()].expect("gpu op");
-                match groups.get(&gid) {
-                    None => {
-                        groups.insert(gid, x);
-                    }
-                    Some(&leader) => {
-                        lp.add_constraint(vec![(x, 1.0), (leader, -1.0)], Relation::Eq, 0.0);
-                    }
-                }
-            }
-        }
-
-        let milp = MilpProblem::new(lp, binaries);
+        b.add_colocation_rows();
+        let (milp, vars) = b.finish();
         Ok(IlpModel {
             graph,
             cluster,
-            aug,
             milp,
-            start_vars,
-            x_vars,
-            z_vars,
-            cmax,
-            horizon,
+            vars,
         })
     }
 
@@ -371,12 +172,12 @@ impl<'a> IlpModel<'a> {
 
     /// The augmented graph the model was built from.
     pub fn augmented(&self) -> &AugmentedGraph {
-        &self.aug
+        &self.vars.aug
     }
 
     /// Big-M horizon used by the disjunctive constraints.
     pub fn horizon_us(&self) -> f64 {
-        self.horizon
+        self.vars.horizon
     }
 
     /// Builds a warm-start assignment from an existing feasible plan by
@@ -387,25 +188,25 @@ impl<'a> IlpModel<'a> {
     pub fn warm_start_from(&self, plan: &Plan, comm: &CommModel) -> Option<Vec<f64>> {
         let sim = Simulator::new(self.graph, self.cluster, *comm).with_memory_check(false);
         let report = sim.run(plan).ok()?;
-        let lp = self.milp.lp();
+        let (lp, vars) = (self.milp.lp(), &self.vars);
         let mut values = vec![0.0; lp.var_count()];
-        values[self.cmax.index()] = report.makespan_us;
+        values[vars.cmax.index()] = report.makespan_us;
 
         // Op starts and x placements.
         for id in self.graph.op_ids() {
             let s = report.op_start_us(id)?;
-            values[self.start_vars[self.aug.node_of_op(id)].index()] = s;
-            if let Some(x) = self.x_vars[id.index()] {
+            values[vars.start[vars.aug.node_of_op(id)].index()] = s;
+            if let Some(x) = vars.place[id.index()].first() {
                 let dev = plan.placement.device(id);
                 values[x.index()] = if dev == self.cluster.gpu(1) { 1.0 } else { 0.0 };
             }
         }
 
         // Comm vertex starts and z indicators.
-        for (k, edge, _class, _dur) in self.aug.comm_nodes() {
+        for (k, edge, _class, _dur) in vars.aug.comm_nodes() {
             let (u, v, _) = self.graph.edges()[edge];
             let cross = plan.placement.device(u) != plan.placement.device(v);
-            if let Some(z) = self.z_vars[k] {
+            if let Some(z) = vars.z[k] {
                 values[z.index()] = if cross { 1.0 } else { 0.0 };
             }
             let s = if cross {
@@ -417,31 +218,25 @@ impl<'a> IlpModel<'a> {
             } else {
                 report.op_finish_us(u)?
             };
-            values[self.start_vars[k].index()] = s;
+            values[vars.start[k].index()] = s;
         }
 
         // Order indicators: every δ variable is named d?_{a}_{b}; set from
         // observed start order (δ=1 ⇔ a starts first ⇒ S_b >= C_a branch).
         for vi in 0..lp.var_count() {
-            let name = lp.var_name(VarId::from_index(vi)).to_string();
-            if let Some(rest) = name
-                .strip_prefix("dC_")
-                .or_else(|| name.strip_prefix("dG_"))
-            {
-                let mut parts = rest.split('_');
-                let a: usize = parts.next()?.parse().ok()?;
-                let b: usize = parts.next()?.parse().ok()?;
-                let sa = values[self.start_vars[a].index()];
-                let sb = values[self.start_vars[b].index()];
-                values[vi] = if sa <= sb { 1.0 } else { 0.0 };
-            } else if let Some(rest) = name.strip_prefix("dK_") {
-                let mut parts = rest.split('_');
-                let a: usize = parts.next()?.parse().ok()?;
-                let b: usize = parts.next()?.parse().ok()?;
-                let sa = values[self.start_vars[a].index()];
-                let sb = values[self.start_vars[b].index()];
-                values[vi] = if sa <= sb { 1.0 } else { 0.0 };
-            }
+            let name = lp.var_name(VarId::from_index(vi));
+            let Some(rest) = ["dC_", "dG_", "dK_"]
+                .iter()
+                .find_map(|prefix| name.strip_prefix(prefix))
+            else {
+                continue;
+            };
+            let mut parts = rest.split('_');
+            let a: usize = parts.next()?.parse().ok()?;
+            let b: usize = parts.next()?.parse().ok()?;
+            let sa = values[vars.start[a].index()];
+            let sb = values[vars.start[b].index()];
+            values[vi] = if sa <= sb { 1.0 } else { 0.0 };
         }
 
         if self.milp.is_integer_feasible(&values, 1e-4) {
@@ -466,43 +261,9 @@ impl<'a> IlpModel<'a> {
 
     /// Decodes a MILP solution into a [`Plan`] and outcome statistics.
     pub fn decode(&self, solution: &MilpSolution) -> IlpOutcome {
-        let mut device_of = Vec::with_capacity(self.graph.op_count());
-        for id in self.graph.op_ids() {
-            let dev = match self.x_vars[id.index()] {
-                None => self.cluster.cpu(),
-                Some(x) => {
-                    if solution.value(x) > 0.5 {
-                        self.cluster.gpu(1)
-                    } else {
-                        self.cluster.gpu(0)
-                    }
-                }
-            };
-            device_of.push(dev);
-        }
-        let placement = Placement::from_vec(device_of);
-
-        // Order ops per device by model start time (tie: topo position).
-        let mut topo_pos = vec![0usize; self.graph.op_count()];
-        for (i, &v) in self.graph.topo_order().iter().enumerate() {
-            topo_pos[v.index()] = i;
-        }
-        let mut per_device: Vec<Vec<OpId>> = vec![Vec::new(); self.cluster.device_count()];
-        for id in self.graph.op_ids() {
-            per_device[placement.device(id).index()].push(id);
-        }
-        for list in &mut per_device {
-            list.sort_by(|&a, &b| {
-                let sa = solution.value(self.start_vars[self.aug.node_of_op(a)]);
-                let sb = solution.value(self.start_vars[self.aug.node_of_op(b)]);
-                sa.total_cmp(&sb)
-                    .then(topo_pos[a.index()].cmp(&topo_pos[b.index()]))
-            });
-        }
-        let plan = Plan::with_order(placement, ScheduleOrder::from_vecs(per_device));
         IlpOutcome {
-            plan,
-            cmax_us: solution.value(self.cmax),
+            plan: self.vars.decode_plan(self.graph, self.cluster, solution),
+            cmax_us: solution.value(self.vars.cmax),
             proven_optimal: solution.status == MilpStatus::Optimal,
             gap: solution.gap,
             nodes_explored: solution.nodes_explored,
@@ -511,142 +272,10 @@ impl<'a> IlpModel<'a> {
     }
 }
 
-/// Dense reachability (transitive closure) on the base graph.
-fn reachability_matrix(graph: &FrozenGraph) -> Vec<Vec<bool>> {
-    let n = graph.op_count();
-    let mut reach = vec![vec![false; n]; n];
-    #[allow(clippy::needless_range_loop)] // row-OR over the closure matrix
-    for &v in graph.topo_order().iter().rev() {
-        for &s in graph.succs(v) {
-            reach[v.index()][s.index()] = true;
-            // Row-or: reach[v] |= reach[s]. Manual loop keeps it simple.
-            for t in 0..n {
-                if reach[s.index()][t] {
-                    reach[v.index()][t] = true;
-                }
-            }
-        }
-    }
-    reach
-}
-
-/// Adds the paper's congestion constraints (7): communication vertices that
-/// would use the same link in the same direction must not overlap. One δ
-/// variable (named `dK_{i}_{j}` over augmented-node indices) per pair.
-#[allow(clippy::too_many_arguments)]
-fn add_congestion_constraints(
-    lp: &mut Problem,
-    binaries: &mut Vec<VarId>,
-    graph: &FrozenGraph,
-    aug: &AugmentedGraph,
-    start_vars: &[VarId],
-    x_vars: &[Option<VarId>],
-    z_vars: &[Option<VarId>],
-    reach: &[Vec<bool>],
-    h: f64,
-    gate: f64,
-) {
-    let comm: Vec<(usize, usize, CommClass, f64)> = aug.comm_nodes().collect();
-    // Comm vertex k for edge (u, v) precedes comm vertex k' for (u', v') if
-    // v reaches u' (or v == u').
-    let precedes = |e1: usize, e2: usize| -> bool {
-        let (_, v1, _) = graph.edges()[e1];
-        let (u2, _, _) = graph.edges()[e2];
-        v1 == u2 || reach[v1.index()][u2.index()]
-    };
-
-    for (i_pos, &(ki, ei, ci, pi)) in comm.iter().enumerate() {
-        for &(kj, ej, cj, pj) in comm.iter().skip(i_pos + 1) {
-            if ci != cj {
-                continue; // different link classes never share a queue
-            }
-            if precedes(ei, ej) || precedes(ej, ei) {
-                continue; // order already implied by precedence
-            }
-            let d = lp.add_var(format!("dK_{ki}_{kj}"), 0.0, 1.0, 0.0);
-            binaries.push(d);
-            let (si, sj) = (start_vars[ki], start_vars[kj]);
-
-            // Completion terms: C = S + p (or S + p z for GG).
-            let ct = |k: usize, p: f64, sign: f64, terms: &mut Vec<(VarId, f64)>| -> f64 {
-                terms.push((start_vars[k], sign));
-                match z_vars[k] {
-                    Some(z) => {
-                        terms.push((z, sign * p));
-                        0.0
-                    }
-                    None => sign * p,
-                }
-            };
-
-            // The two directed gates for this pair, as coefficient bundles
-            // on x variables such that gate_expr == 0 iff both transfers use
-            // the link in that direction, and >= 1 otherwise.
-            let (u_i, v_i, _) = graph.edges()[ei];
-            let (u_j, v_j, _) = graph.edges()[ej];
-            // Each gate is (x-coefficients, constant) such that
-            // gate_expr = constant + Σ coeff·x is 0 exactly when both
-            // transfers use the same link direction, and >= 1 otherwise.
-            let gates: Vec<(Vec<(VarId, f64)>, f64)> = match ci {
-                CommClass::GpuGpu => {
-                    let xa = x_vars[u_i.index()].expect("gg");
-                    let xb = x_vars[v_i.index()].expect("gg");
-                    let xc = x_vars[u_j.index()].expect("gg");
-                    let xd = x_vars[v_j.index()].expect("gg");
-                    vec![
-                        // GPU-1 -> GPU-0 (xa=1, xb=0, xc=1, xd=0):
-                        // gate = 2 - xa + xb - xc + xd.
-                        (vec![(xa, -1.0), (xb, 1.0), (xc, -1.0), (xd, 1.0)], 2.0),
-                        // GPU-0 -> GPU-1 (xa=0, xb=1, xc=0, xd=1):
-                        // gate = 2 + xa - xb + xc - xd.
-                        (vec![(xa, 1.0), (xb, -1.0), (xc, 1.0), (xd, -1.0)], 2.0),
-                    ]
-                }
-                CommClass::CpuGpu => {
-                    // Same queue iff the two GPU consumers share a GPU.
-                    let xb = x_vars[v_i.index()].expect("cg consumer is gpu");
-                    let xd = x_vars[v_j.index()].expect("cg consumer is gpu");
-                    vec![
-                        // Both on GPU-1: gate = 2 - xb - xd.
-                        (vec![(xb, -1.0), (xd, -1.0)], 2.0),
-                        // Both on GPU-0: gate = xb + xd.
-                        (vec![(xb, 1.0), (xd, 1.0)], 0.0),
-                    ]
-                }
-                CommClass::GpuCpu => {
-                    let xa = x_vars[u_i.index()].expect("gc producer is gpu");
-                    let xc = x_vars[u_j.index()].expect("gc producer is gpu");
-                    vec![
-                        (vec![(xa, -1.0), (xc, -1.0)], 2.0),
-                        (vec![(xa, 1.0), (xc, 1.0)], 0.0),
-                    ]
-                }
-            };
-            for (gate_terms, gate_const) in gates {
-                // δ=0 branch: S_i >= C_j - H·δ - G·gate_expr
-                //   S_i - C_j + H·δ + G·gate_expr >= 0.
-                let mut terms = vec![(si, 1.0), (d, h)];
-                let cj_const = ct(kj, pj, -1.0, &mut terms);
-                for &(xv, c) in &gate_terms {
-                    terms.push((xv, gate * c));
-                }
-                lp.add_constraint(terms, Relation::Ge, -cj_const - gate * gate_const);
-                // δ=1 branch: S_j >= C_i - H(1-δ) - G·gate_expr.
-                let mut terms = vec![(sj, 1.0), (d, -h)];
-                let ci_const = ct(ki, pi, -1.0, &mut terms);
-                for &(xv, c) in &gate_terms {
-                    terms.push((xv, gate * c));
-                }
-                lp.add_constraint(terms, Relation::Ge, -ci_const - h - gate * gate_const);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pesto_graph::OpGraph;
+    use pesto_graph::{DeviceKind, OpGraph, Placement, ScheduleOrder};
     use std::time::Duration;
 
     fn cfg() -> IlpConfig {

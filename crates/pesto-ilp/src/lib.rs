@@ -57,6 +57,7 @@ mod error;
 mod formulation;
 mod hybrid;
 mod listsched;
+mod model;
 mod multi;
 mod placer;
 mod rng;

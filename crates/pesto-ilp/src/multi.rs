@@ -8,23 +8,20 @@
 //! constraint count grows steeply):
 //!
 //! * placement of op `i` = the binary number `(b_{i,k-1} … b_{i,0})`;
-//! * a *match gate* `G_g(i) = Σ_bit (bit of i driven to bit of g)` is zero
-//!   exactly when op `i` sits on GPU `g`, and ≥ 1 otherwise — the direct
-//!   generalization of the paper's `(2 - x_i - x_j)` gates;
-//! * non-overlap (10) becomes one δ pair per op pair per GPU;
 //! * transfer indicators `z_k` use per-bit XOR variables with
-//!   `max(d_bits) <= z <= Σ d_bits`;
-//! * congestion (7) gates each directed GPU-GPU link by the producer's and
-//!   consumer's match gates.
+//!   `max(d_bits) <= z <= Σ d_bits`.
 //!
-//! Scheduling-side constraints (precedence, `C_max`, CPU serialization)
-//! are identical to the 2-GPU model.
+//! Everything else — precedence, `C_max`, CPU serialization, non-overlap
+//! (10) with one δ pair per op pair per GPU, congestion (7) gated per
+//! directed GPU-GPU link, colocation and plan decoding — comes from the
+//! builder this model shares with the 2-GPU [`IlpModel`](crate::IlpModel),
+//! whose gates generalize to the bit encoding as match gates.
 
-use crate::augment::{AugmentedGraph, CommClass};
 use crate::error::IlpError;
+use crate::model::{Builder, Vars};
 use pesto_cost::CommModel;
-use pesto_graph::{Cluster, DeviceKind, FrozenGraph, OpId, Placement, Plan, ScheduleOrder};
-use pesto_lp::{Problem, Relation, Sense, VarId};
+use pesto_graph::{Cluster, FrozenGraph, Plan};
+use pesto_lp::Relation;
 use pesto_milp::{MilpConfig, MilpProblem, MilpSolution, MilpStatus};
 
 /// The bit-encoded multi-GPU Pesto ILP.
@@ -32,12 +29,8 @@ use pesto_milp::{MilpConfig, MilpProblem, MilpSolution, MilpStatus};
 pub struct MultiGpuIlp<'a> {
     graph: &'a FrozenGraph,
     cluster: &'a Cluster,
-    aug: AugmentedGraph,
     milp: MilpProblem,
-    start_vars: Vec<VarId>,
-    /// Placement bits per op (`bits` entries for GPU ops, empty for CPU).
-    bit_vars: Vec<Vec<VarId>>,
-    cmax: VarId,
+    vars: Vars,
     bits: usize,
 }
 
@@ -50,13 +43,6 @@ pub struct MultiGpuOutcome {
     pub cmax_us: f64,
     /// Whether optimality was proven.
     pub proven_optimal: bool,
-}
-
-fn node_duration(graph: &FrozenGraph, node: &crate::augment::AugNode) -> f64 {
-    match node {
-        crate::augment::AugNode::Op(id) => graph.op(*id).compute_us(),
-        crate::augment::AugNode::Comm { duration_us, .. } => *duration_us,
-    }
 }
 
 impl<'a> MultiGpuIlp<'a> {
@@ -78,267 +64,39 @@ impl<'a> MultiGpuIlp<'a> {
             )));
         }
         let bits = gpus.trailing_zeros() as usize;
-        let aug = AugmentedGraph::build(graph, comm);
-        let n_nodes = aug.node_count();
-        let horizon: f64 = aug
-            .nodes()
-            .iter()
-            .map(|n| node_duration(graph, n))
-            .sum::<f64>()
-            .max(1.0);
-        let h = horizon;
-        let gate = 2.0 * h;
-
-        let mut lp = Problem::new(Sense::Minimize);
-        let cmax = lp.add_var("cmax", 0.0, f64::INFINITY, 1.0);
-        let start_vars: Vec<VarId> = (0..n_nodes)
-            .map(|i| lp.add_var(format!("s{i}"), 0.0, f64::INFINITY, 0.0))
-            .collect();
-        let mut binaries = Vec::new();
-
-        let mut bit_vars: Vec<Vec<VarId>> = vec![Vec::new(); graph.op_count()];
-        for id in graph.op_ids() {
-            if graph.op(id).kind() == DeviceKind::Gpu {
-                for b in 0..bits {
-                    let v = lp.add_var(format!("p{}_{b}", id.index()), 0.0, 1.0, 0.0);
-                    bit_vars[id.index()].push(v);
-                    binaries.push(v);
-                }
-            }
-        }
-
-        // Gate terms driving op `o`'s bits toward GPU `g`'s bit pattern:
-        // returns (terms, constant) with value 0 iff placed on g, >= 1
-        // otherwise.
-        let match_gate = |o: OpId, g: usize| -> (Vec<(VarId, f64)>, f64) {
-            let mut terms = Vec::new();
-            let mut constant = 0.0;
-            for (b, &v) in bit_vars[o.index()].iter().enumerate() {
-                if (g >> b) & 1 == 1 {
-                    // want bit = 1: contributes (1 - v).
-                    terms.push((v, -1.0));
-                    constant += 1.0;
-                } else {
-                    terms.push((v, 1.0));
-                }
-            }
-            (terms, constant)
-        };
+        let mut b = Builder::new(graph, comm, bits, |id, bit| {
+            format!("p{}_{bit}", id.index())
+        });
 
         // z_k for GG comm nodes via per-bit XOR.
-        let mut z_vars: Vec<Option<VarId>> = vec![None; n_nodes];
-        for (k, edge, class, _) in aug.comm_nodes() {
-            if class != CommClass::GpuGpu {
-                continue;
-            }
-            let (a, b, _) = graph.edges()[edge];
-            let z = lp.add_var(format!("z{k}"), 0.0, 1.0, 0.0);
-            binaries.push(z);
-            z_vars[k] = Some(z);
+        for (k, u, v) in b.transfers() {
+            let z = b.transfer_var(k);
             let mut xor_bits = Vec::new();
-            #[allow(clippy::needless_range_loop)] // bit doubles as the shift amount
             for bit in 0..bits {
-                let xa = bit_vars[a.index()][bit];
-                let xb = bit_vars[b.index()][bit];
-                let d = lp.add_var(format!("zx{k}_{bit}"), 0.0, 1.0, 0.0);
-                binaries.push(d);
-                lp.add_constraint(vec![(d, 1.0), (xa, -1.0), (xb, 1.0)], Relation::Ge, 0.0);
-                lp.add_constraint(vec![(d, 1.0), (xa, 1.0), (xb, -1.0)], Relation::Ge, 0.0);
-                lp.add_constraint(vec![(d, 1.0), (xa, -1.0), (xb, -1.0)], Relation::Le, 0.0);
-                lp.add_constraint(vec![(d, 1.0), (xa, 1.0), (xb, 1.0)], Relation::Le, 2.0);
+                let (xa, xb) = (b.vars.place[u.index()][bit], b.vars.place[v.index()][bit]);
+                let d = b.binary(format!("zx{k}_{bit}"));
+                b.lp.add_constraint(vec![(d, 1.0), (xa, -1.0), (xb, 1.0)], Relation::Ge, 0.0);
+                b.lp.add_constraint(vec![(d, 1.0), (xa, 1.0), (xb, -1.0)], Relation::Ge, 0.0);
+                b.lp.add_constraint(vec![(d, 1.0), (xa, -1.0), (xb, -1.0)], Relation::Le, 0.0);
+                b.lp.add_constraint(vec![(d, 1.0), (xa, 1.0), (xb, 1.0)], Relation::Le, 2.0);
                 // z >= each bit difference.
-                lp.add_constraint(vec![(z, 1.0), (d, -1.0)], Relation::Ge, 0.0);
+                b.lp.add_constraint(vec![(z, 1.0), (d, -1.0)], Relation::Ge, 0.0);
                 xor_bits.push(d);
             }
             // z <= sum of bit differences.
             let mut terms = vec![(z, 1.0)];
-            for &d in &xor_bits {
-                terms.push((d, -1.0));
-            }
-            lp.add_constraint(terms, Relation::Le, 0.0);
+            terms.extend(xor_bits.iter().map(|&d| (d, -1.0)));
+            b.lp.add_constraint(terms, Relation::Le, 0.0);
         }
 
-        let completion_terms = |i: usize| -> (Vec<(VarId, f64)>, f64) {
-            let p = node_duration(graph, &aug.nodes()[i]);
-            match z_vars[i] {
-                Some(z) => (vec![(start_vars[i], 1.0), (z, p)], 0.0),
-                None => (vec![(start_vars[i], 1.0)], p),
-            }
-        };
-
-        // Precedence + Cmax.
-        for &(i, j) in aug.edges() {
-            let (mut terms, constant) = completion_terms(i);
-            for t in &mut terms {
-                t.1 = -t.1;
-            }
-            terms.push((start_vars[j], 1.0));
-            lp.add_constraint(terms, Relation::Ge, constant);
-        }
-        for i in 0..n_nodes {
-            let (mut terms, constant) = completion_terms(i);
-            for t in &mut terms {
-                t.1 = -t.1;
-            }
-            terms.push((cmax, 1.0));
-            lp.add_constraint(terms, Relation::Ge, constant);
-        }
-
-        // Reachability pruning.
-        let reach = reachability(graph);
-        let unordered = |a: OpId, b: OpId| -> bool {
-            !reach[a.index()][b.index()] && !reach[b.index()][a.index()]
-        };
-
-        // CPU non-overlap.
-        let cpu_ops: Vec<OpId> = graph
-            .op_ids()
-            .filter(|&id| graph.op(id).kind() != DeviceKind::Gpu)
-            .collect();
-        for (ai, &a) in cpu_ops.iter().enumerate() {
-            for &b in cpu_ops.iter().skip(ai + 1) {
-                if !unordered(a, b) {
-                    continue;
-                }
-                let d = lp.add_var(format!("dC_{}_{}", a.index(), b.index()), 0.0, 1.0, 0.0);
-                binaries.push(d);
-                let (sa, sb) = (start_vars[a.index()], start_vars[b.index()]);
-                let (pa, pb) = (graph.op(a).compute_us(), graph.op(b).compute_us());
-                lp.add_constraint(vec![(sa, 1.0), (sb, -1.0), (d, h)], Relation::Ge, pb);
-                lp.add_constraint(vec![(sb, 1.0), (sa, -1.0), (d, -h)], Relation::Ge, pa - h);
-            }
-        }
-
-        // GPU non-overlap: one δ per pair, gated per GPU.
-        let gpu_ops: Vec<OpId> = graph
-            .op_ids()
-            .filter(|&id| graph.op(id).kind() == DeviceKind::Gpu)
-            .collect();
-        for (ai, &a) in gpu_ops.iter().enumerate() {
-            for &b in gpu_ops.iter().skip(ai + 1) {
-                if !unordered(a, b) {
-                    continue;
-                }
-                let d = lp.add_var(format!("dG_{}_{}", a.index(), b.index()), 0.0, 1.0, 0.0);
-                binaries.push(d);
-                let (sa, sb) = (start_vars[a.index()], start_vars[b.index()]);
-                let (pa, pb) = (graph.op(a).compute_us(), graph.op(b).compute_us());
-                for g in 0..cluster.gpu_count() {
-                    let (ga, ca) = match_gate(a, g);
-                    let (gb, cb) = match_gate(b, g);
-                    // S_a >= C_b - H δ - G (gate_a + gate_b).
-                    let mut terms = vec![(sa, 1.0), (sb, -1.0), (d, h)];
-                    for &(v, c) in ga.iter().chain(&gb) {
-                        terms.push((v, gate * c));
-                    }
-                    lp.add_constraint(terms, Relation::Ge, pb - gate * (ca + cb));
-                    // S_b >= C_a - H (1-δ) - G (gate_a + gate_b).
-                    let mut terms = vec![(sb, 1.0), (sa, -1.0), (d, -h)];
-                    for &(v, c) in ga.iter().chain(&gb) {
-                        terms.push((v, gate * c));
-                    }
-                    lp.add_constraint(terms, Relation::Ge, pa - h - gate * (ca + cb));
-                }
-            }
-        }
-
-        // Congestion: GG comm pairs gated per directed GPU-GPU link;
-        // CG/GC pairs gated per shared GPU endpoint.
-        let comm_nodes: Vec<(usize, usize, CommClass, f64)> = aug.comm_nodes().collect();
-        let precedes = |e1: usize, e2: usize| -> bool {
-            let (_, v1, _) = graph.edges()[e1];
-            let (u2, _, _) = graph.edges()[e2];
-            v1 == u2 || reach[v1.index()][u2.index()]
-        };
-        for (i_pos, &(ki, ei, ci, pi)) in comm_nodes.iter().enumerate() {
-            for &(kj, ej, cj, pj) in comm_nodes.iter().skip(i_pos + 1) {
-                if ci != cj || precedes(ei, ej) || precedes(ej, ei) {
-                    continue;
-                }
-                let d = lp.add_var(format!("dK_{ki}_{kj}"), 0.0, 1.0, 0.0);
-                binaries.push(d);
-                let (u_i, v_i, _) = graph.edges()[ei];
-                let (u_j, v_j, _) = graph.edges()[ej];
-
-                // Gates: list of (terms, constant) per shared queue.
-                let mut gates: Vec<(Vec<(VarId, f64)>, f64)> = Vec::new();
-                match ci {
-                    CommClass::GpuGpu => {
-                        for src in 0..cluster.gpu_count() {
-                            for dst in 0..cluster.gpu_count() {
-                                if src == dst {
-                                    continue;
-                                }
-                                let mut terms = Vec::new();
-                                let mut constant = 0.0;
-                                for (t, c) in [
-                                    match_gate(u_i, src),
-                                    match_gate(v_i, dst),
-                                    match_gate(u_j, src),
-                                    match_gate(v_j, dst),
-                                ] {
-                                    terms.extend(t);
-                                    constant += c;
-                                }
-                                gates.push((terms, constant));
-                            }
-                        }
-                    }
-                    CommClass::CpuGpu => {
-                        for g in 0..cluster.gpu_count() {
-                            let (mut t1, c1) = match_gate(v_i, g);
-                            let (t2, c2) = match_gate(v_j, g);
-                            t1.extend(t2);
-                            gates.push((t1, c1 + c2));
-                        }
-                    }
-                    CommClass::GpuCpu => {
-                        for g in 0..cluster.gpu_count() {
-                            let (mut t1, c1) = match_gate(u_i, g);
-                            let (t2, c2) = match_gate(u_j, g);
-                            t1.extend(t2);
-                            gates.push((t1, c1 + c2));
-                        }
-                    }
-                }
-
-                let ct = |k: usize, p: f64, sign: f64, terms: &mut Vec<(VarId, f64)>| -> f64 {
-                    terms.push((start_vars[k], sign));
-                    match z_vars[k] {
-                        Some(z) => {
-                            terms.push((z, sign * p));
-                            0.0
-                        }
-                        None => sign * p,
-                    }
-                };
-                for (gate_terms, gate_const) in gates {
-                    let (si, sj) = (start_vars[ki], start_vars[kj]);
-                    let mut terms = vec![(si, 1.0), (d, h)];
-                    let cj_const = ct(kj, pj, -1.0, &mut terms);
-                    for &(v, c) in &gate_terms {
-                        terms.push((v, gate * c));
-                    }
-                    lp.add_constraint(terms, Relation::Ge, -cj_const - gate * gate_const);
-                    let mut terms = vec![(sj, 1.0), (d, -h)];
-                    let ci_const = ct(ki, pi, -1.0, &mut terms);
-                    for &(v, c) in &gate_terms {
-                        terms.push((v, gate * c));
-                    }
-                    lp.add_constraint(terms, Relation::Ge, -ci_const - h - gate * gate_const);
-                }
-            }
-        }
-
-        let milp = MilpProblem::new(lp, binaries);
+        b.add_schedule_rows(true);
+        b.add_colocation_rows();
+        let (milp, vars) = b.finish();
         Ok(MultiGpuIlp {
             graph,
             cluster,
-            aug,
             milp,
-            start_vars,
-            bit_vars,
-            cmax,
+            vars,
             bits,
         })
     }
@@ -361,40 +119,9 @@ impl<'a> MultiGpuIlp<'a> {
 
     /// Decodes a MILP solution into a plan.
     pub fn decode(&self, solution: &MilpSolution) -> MultiGpuOutcome {
-        let mut device_of = Vec::with_capacity(self.graph.op_count());
-        for id in self.graph.op_ids() {
-            if self.graph.op(id).kind() != DeviceKind::Gpu {
-                device_of.push(self.cluster.cpu());
-                continue;
-            }
-            let mut g = 0usize;
-            for (b, &v) in self.bit_vars[id.index()].iter().enumerate() {
-                if solution.value(v) > 0.5 {
-                    g |= 1 << b;
-                }
-            }
-            device_of.push(self.cluster.gpu(g.min(self.cluster.gpu_count() - 1)));
-        }
-        let placement = Placement::from_vec(device_of);
-        let mut topo_pos = vec![0usize; self.graph.op_count()];
-        for (i, &v) in self.graph.topo_order().iter().enumerate() {
-            topo_pos[v.index()] = i;
-        }
-        let mut per_device: Vec<Vec<OpId>> = vec![Vec::new(); self.cluster.device_count()];
-        for id in self.graph.op_ids() {
-            per_device[placement.device(id).index()].push(id);
-        }
-        for list in &mut per_device {
-            list.sort_by(|&a, &b| {
-                let sa = solution.value(self.start_vars[self.aug.node_of_op(a)]);
-                let sb = solution.value(self.start_vars[self.aug.node_of_op(b)]);
-                sa.total_cmp(&sb)
-                    .then(topo_pos[a.index()].cmp(&topo_pos[b.index()]))
-            });
-        }
         MultiGpuOutcome {
-            plan: Plan::with_order(placement, ScheduleOrder::from_vecs(per_device)),
-            cmax_us: solution.value(self.cmax),
+            plan: self.vars.decode_plan(self.graph, self.cluster, solution),
+            cmax_us: solution.value(self.vars.cmax),
             proven_optimal: solution.status == MilpStatus::Optimal,
         }
     }
@@ -405,27 +132,10 @@ impl<'a> MultiGpuIlp<'a> {
     }
 }
 
-fn reachability(graph: &FrozenGraph) -> Vec<Vec<bool>> {
-    let n = graph.op_count();
-    let mut reach = vec![vec![false; n]; n];
-    #[allow(clippy::needless_range_loop)] // row-OR over the closure matrix
-    for &v in graph.topo_order().iter().rev() {
-        for &s in graph.succs(v) {
-            reach[v.index()][s.index()] = true;
-            for t in 0..n {
-                if reach[s.index()][t] {
-                    reach[v.index()][t] = true;
-                }
-            }
-        }
-    }
-    reach
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pesto_graph::OpGraph;
+    use pesto_graph::{DeviceKind, OpGraph, OpId};
     use pesto_sim::Simulator;
     use std::time::Duration;
 
@@ -481,6 +191,31 @@ mod tests {
         let out = model.solve(&cfg()).unwrap();
         assert_eq!(out.plan.placement.device(a), out.plan.placement.device(b));
         assert!((out.cmax_us - 20.0).abs() < 1e-4);
+    }
+
+    #[test]
+    fn colocation_group_shares_one_gpu_on_four_gpus() {
+        // Two independent 100 µs ops would split (C_max 100); one
+        // colocation group keeps them on one GPU (paper §3.2.2), as the
+        // 2-GPU model does.
+        let mut g = OpGraph::new("coloc");
+        let a = g.add_op("a", DeviceKind::Gpu, 100.0, 16);
+        let b = g.add_op("b", DeviceKind::Gpu, 100.0, 16);
+        g.op_mut(a).set_colocation_group(Some(7));
+        g.op_mut(b).set_colocation_group(Some(7));
+        let g = g.freeze().unwrap();
+        for gpus in [2, 4] {
+            let cluster = Cluster::homogeneous(gpus, 1 << 30);
+            let model = MultiGpuIlp::build(&g, &cluster, &comm()).unwrap();
+            let out = model.solve(&cfg()).unwrap();
+            assert!(out.proven_optimal, "{gpus} GPUs");
+            assert!(
+                (out.cmax_us - 200.0).abs() < 1e-4,
+                "{gpus} GPUs: cmax {}",
+                out.cmax_us
+            );
+            assert_eq!(out.plan.placement.device(a), out.plan.placement.device(b));
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The bit-encoded multi-GPU ILP must agree with the paper's main 2-GPU
-//! formulation: on two GPUs they model the same problem, so their optimal
-//! makespans coincide.
+//! formulation: on two GPUs they model the same problem, colocation groups
+//! included, so their optimal makespans coincide.
 
 use pesto_cost::CommModel;
 use pesto_graph::{Cluster, DeviceKind, FrozenGraph, OpGraph, OpId};
@@ -9,14 +9,17 @@ use pesto_milp::MilpConfig;
 use proptest::prelude::*;
 use std::time::Duration;
 
+/// Three or four GPU ops with random edges; each op is in colocation
+/// group 1 or 2, or in none.
 fn arb_tiny() -> impl Strategy<Value = FrozenGraph> {
     (3usize..5)
         .prop_flat_map(|n| {
             let edges = proptest::collection::vec((0..n, 0..n, 0u64..(1 << 20)), 0..n);
             let times = proptest::collection::vec(5.0f64..100.0, n);
-            (Just(n), edges, times)
+            let groups = proptest::collection::vec(0u32..3, n);
+            (Just(n), edges, times, groups)
         })
-        .prop_map(|(n, edges, times)| {
+        .prop_map(|(n, edges, times, groups)| {
             let mut g = OpGraph::new("tiny");
             let ids: Vec<OpId> = (0..n)
                 .map(|i| g.add_op(format!("op{i}"), DeviceKind::Gpu, times[i], 16))
@@ -26,6 +29,10 @@ fn arb_tiny() -> impl Strategy<Value = FrozenGraph> {
                 if u != v {
                     let _ = g.add_edge(ids[u], ids[v], bytes);
                 }
+            }
+            for (&id, group) in ids.iter().zip(groups) {
+                g.op_mut(id)
+                    .set_colocation_group((group > 0).then_some(group));
             }
             g.freeze().unwrap()
         })
