@@ -7,9 +7,10 @@
 //!   **bit-identical** to the serial ones — same objective bits, same
 //!   value bits, same pivot count — for any instance, forced on and off
 //!   via [`pesto::lp::set_parallel_override`].
-//! * `MilpConfig { threads: 1 }` **is** the historical serial search:
-//!   node-for-node identical to the goldens captured before the parallel
-//!   path existed. `threads > 1` must reach the same optimum.
+//! * `MilpConfig { threads: 1 }` runs the one branch-and-bound loop on
+//!   the calling thread, node-for-node identical to the goldens below.
+//!   `threads > 1` runs the same loop on more workers and must reach the
+//!   same optimum.
 
 use pesto::lp::{set_parallel_override, Problem, Relation, Sense, VarId};
 use pesto::milp::{MilpConfig, MilpProblem, MilpStatus};
@@ -105,7 +106,7 @@ proptest! {
 
 /// `threads = 1` reproduces the captured serial goldens node for node:
 /// same objective, same node count, same solution vector. Any drift here
-/// means the parallel refactor changed the deterministic contract path.
+/// means a change moved the deterministic contract path.
 #[test]
 fn threads_one_matches_serial_goldens_node_for_node() {
     let goldens: [(usize, f64, usize, &[f64]); 2] = [
