@@ -331,7 +331,7 @@ fn load_f64(bits: &AtomicU64) -> Option<f64> {
 /// decremented only after a dive's children are pushed, so the check
 /// cannot race with work being created. A worker that stops (limit,
 /// cancel, error, closed gap) raises `stop`, and the others leave at their
-/// next node.
+/// next node, each dropping the node in hand but keeping its bound held.
 struct Search<'a> {
     problem: &'a MilpProblem,
     config: &'a MilpConfig,
@@ -342,7 +342,7 @@ struct Search<'a> {
     incumbent_obj: AtomicU64,
     /// Bound of the node each worker holds in hand (`NO_OBJ` when none):
     /// the dual bound must cover nodes that are neither in the heap nor
-    /// closed.
+    /// closed, including a node dropped when the search stopped.
     held: Vec<AtomicU64>,
     nodes: AtomicUsize,
     active: AtomicUsize,
@@ -495,7 +495,12 @@ impl<'a> Search<'a> {
             match popped {
                 Some(node) => {
                     self.dive(node, held);
-                    held.store(NO_OBJ, AtomicOrder::SeqCst);
+                    // A dive that stopped may have dropped the node in hand:
+                    // its bound stays held, so a gap check another worker is
+                    // still running covers it.
+                    if !self.stop.load(AtomicOrder::SeqCst) {
+                        held.store(NO_OBJ, AtomicOrder::SeqCst);
+                    }
                     self.active.fetch_sub(1, AtomicOrder::SeqCst);
                 }
                 None if self.active.load(AtomicOrder::SeqCst) == 0 => break,
@@ -634,26 +639,38 @@ impl<'a> Search<'a> {
                 }
             }
 
-            // Global bound over open work ⇒ gap early stop.
+            // The node in hand is now the dive's next one, if any.
             held.store(
                 current.as_ref().map_or(NO_OBJ, |n| n.bound.to_bits()),
                 AtomicOrder::SeqCst,
             );
-            if let Some(inc) = self.incumbent_obj() {
-                let bound = self.open_bound().unwrap_or(inc);
-                self.bound.store(bound.to_bits(), AtomicOrder::SeqCst);
-                if relative_gap(inc, bound) <= config.gap_tolerance {
-                    let _ = self.closing_bound.compare_exchange(
-                        NO_OBJ,
-                        bound.to_bits(),
-                        AtomicOrder::SeqCst,
-                        AtomicOrder::SeqCst,
-                    );
-                    self.stop.store(true, AtomicOrder::SeqCst);
-                    return;
-                }
+            if self.check_gap() {
+                return;
             }
         }
+    }
+
+    /// Global bound over open work ⇒ gap early stop. With an incumbent,
+    /// stores the bound over the heap and every held node as the last dual
+    /// bound; if the gap is within tolerance, records it as the closing
+    /// bound, stops the search and returns `true`.
+    fn check_gap(&self) -> bool {
+        let Some(inc) = self.incumbent_obj() else {
+            return false;
+        };
+        let bound = self.open_bound().unwrap_or(inc);
+        self.bound.store(bound.to_bits(), AtomicOrder::SeqCst);
+        let closed = relative_gap(inc, bound) <= self.config.gap_tolerance;
+        if closed {
+            let _ = self.closing_bound.compare_exchange(
+                NO_OBJ,
+                bound.to_bits(),
+                AtomicOrder::SeqCst,
+                AtomicOrder::SeqCst,
+            );
+            self.stop.store(true, AtomicOrder::SeqCst);
+        }
+        closed
     }
 
     /// The search's result once every worker has returned.
@@ -1143,6 +1160,41 @@ mod tests {
             }
         }
         assert!(solved > 0, "every limited solve ended without an incumbent");
+    }
+
+    #[test]
+    fn parallel_gap_check_covers_a_node_dropped_at_the_limit() {
+        // Two workers driven by hand through the interleaving a node limit
+        // allows: worker 0 explores the root, keeps one child in hand and
+        // hits the limit before exploring it; worker 1 has already popped
+        // the other child and runs its gap check after the stop. That check
+        // must still count worker 0's dropped node, or it closes the gap on
+        // the warm-start incumbent and reports it Optimal.
+        let mut lp = Problem::new(Sense::Maximize);
+        let a = lp.add_var("a", 0.0, 1.0, 1.0);
+        let b = lp.add_var("b", 0.0, 1.0, 1.0);
+        lp.add_constraint(vec![(a, 2.0), (b, 2.0)], Relation::Le, 3.0);
+        let milp = MilpProblem::new(lp, vec![a, b]);
+        let optimum = milp.solve(&MilpConfig::default()).unwrap().objective;
+        approx(optimum, 1.0);
+        let cfg = MilpConfig {
+            threads: 2,
+            node_limit: 1,
+            warm_start: Some(vec![0.0, 0.0]),
+            ..MilpConfig::default()
+        };
+        let search = Search::new(&milp, &cfg, 2);
+        search.work(0);
+        assert!(search.limits_hit.load(AtomicOrder::SeqCst));
+        let popped = search.heap.lock().unwrap().pop();
+        assert!(popped.is_some(), "the root's other child was not queued");
+
+        assert!(!search.check_gap());
+        assert!(search.bound() >= 1.5 - 1e-9, "bound {}", search.bound());
+        assert_eq!(load_f64(&search.closing_bound), None);
+        let sol = search.finish().unwrap();
+        assert_eq!(sol.status, MilpStatus::Feasible, "{sol:?}");
+        assert!(sol.best_bound >= optimum, "{sol:?}");
     }
 
     #[test]
