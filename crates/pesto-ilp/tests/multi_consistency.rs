@@ -9,14 +9,19 @@ use pesto_milp::MilpConfig;
 use proptest::prelude::*;
 use std::time::Duration;
 
-/// Three or four GPU ops with random edges; each op is in colocation
-/// group 1 or 2, or in none.
-fn arb_tiny() -> impl Strategy<Value = FrozenGraph> {
+/// Three or four GPU ops with random edges; with `with_groups`, each op
+/// is in colocation group 1 or 2, or in none (without, nothing is drawn
+/// for groups).
+fn arb_tiny(with_groups: bool) -> impl Strategy<Value = FrozenGraph> {
     (3usize..5)
-        .prop_flat_map(|n| {
+        .prop_flat_map(move |n| {
             let edges = proptest::collection::vec((0..n, 0..n, 0u64..(1 << 20)), 0..n);
             let times = proptest::collection::vec(5.0f64..100.0, n);
-            let groups = proptest::collection::vec(0u32..3, n);
+            let groups = if with_groups {
+                proptest::collection::vec(0u32..3, n).boxed()
+            } else {
+                Just(Vec::new()).boxed()
+            };
             (Just(n), edges, times, groups)
         })
         .prop_map(|(n, edges, times, groups)| {
@@ -42,7 +47,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn two_gpu_models_agree(g in arb_tiny()) {
+    fn two_gpu_models_agree(g in arb_tiny(true)) {
         let cluster = Cluster::two_gpus();
         let comm = CommModel::default_v100();
         let milp_cfg = MilpConfig::with_time_limit(Duration::from_secs(30));
@@ -70,7 +75,7 @@ proptest! {
     /// More GPUs can never hurt: the 4-GPU optimum is at most the 2-GPU
     /// optimum (any 2-GPU plan embeds into 4 GPUs).
     #[test]
-    fn four_gpus_never_worse(g in arb_tiny()) {
+    fn four_gpus_never_worse(g in arb_tiny(false)) {
         let comm = CommModel::default_v100();
         let milp_cfg = MilpConfig::with_time_limit(Duration::from_secs(30));
         let two = Cluster::two_gpus();
