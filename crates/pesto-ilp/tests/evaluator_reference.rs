@@ -8,7 +8,9 @@
 //! 64-op lookahead, random placements on 2- and 4-GPU clusters, with and
 //! without infinite links and with placements that overflow device
 //! memory, the fast path returns the same per-device order, the same
-//! report and the same penalized cost, bit for bit.
+//! report and the same penalized cost, bit for bit. Deterministic cases
+//! check the same on model graphs, whose ops have far more inputs than
+//! the random DAGs draw.
 
 use pesto_cost::CommModel;
 use pesto_graph::{
@@ -280,5 +282,61 @@ proptest! {
         let wrapped = etf_schedule(&graph, &cluster, &comm, placement, &sim)
             .expect("wrapper schedules");
         prop_assert_eq!(bits(&wrapped), bits(&reference));
+    }
+}
+
+/// The pipeline's coarsening of `graph`: to a quarter of its ops (at
+/// least 200 vertices), parallel fine edges that collapse into one coarse
+/// edge charged the link's fixed latency in bytes.
+fn pipeline_coarsening(graph: &FrozenGraph, comm: &CommModel) -> FrozenGraph {
+    let gg = comm.fit(pesto_graph::LinkType::GpuToGpu);
+    let config = pesto_coarsen::CoarsenConfig {
+        parallel_edge_penalty_bytes: (gg.beta0 / gg.beta1) as u64,
+        ..pesto_coarsen::CoarsenConfig::to_target((graph.op_count() / 4).max(200))
+    };
+    pesto_coarsen::coarsen(graph, &config).coarse().clone()
+}
+
+/// Model graphs, where the random DAGs above fall short: RNNLM ops reach
+/// in-degree 20, several of their cross-device inputs on one link, which
+/// is the case a per-link bound aggregates. Each graph is scored on 2 and
+/// 4 GPUs under 16 seeded random placements, every fourth with infinite
+/// links.
+#[test]
+fn fast_etf_matches_the_reference_on_model_graphs() {
+    let comm = CommModel::default_v100();
+    let rnnlm = pesto_models::ModelSpec::rnnlm(2, 1024);
+    let fine = rnnlm.generate_scaled(rnnlm.paper_batch(), 1000, 0.25);
+    let coarse = pipeline_coarsening(&fine, &comm);
+    let nasnet = pesto_models::ModelSpec::nasnet(2, 8);
+    let nasnet = nasnet.generate(nasnet.paper_batch(), 1000);
+    assert_eq!(fine.op_count(), 1_110);
+    assert!(coarse.op_count() > 200 && coarse.op_count() <= 277);
+    assert!(fine.op_ids().map(|id| fine.in_degree(id)).max() >= Some(20));
+    let bits = |r: &ListScheduleResult| format!("{:?} {:?}", r.plan, r.report);
+    for graph in [&fine, &coarse, &nasnet] {
+        for cluster in [Cluster::two_gpus(), Cluster::homogeneous(4, 16 << 30)] {
+            let gpus = cluster.gpus();
+            for k in 0..16u64 {
+                let mut state = k;
+                let mut placement = Placement::affinity_default(graph, &cluster);
+                for id in graph.op_ids() {
+                    if graph.op(id).kind() == DeviceKind::Gpu {
+                        let g = splitmix64(&mut state) % gpus.len() as u64;
+                        placement.set_device(id, gpus[g as usize]);
+                    }
+                }
+                let infinite_links = k % 4 == 3;
+                let (reference, reference_cost) =
+                    reference_cost(graph, &cluster, &comm, &placement, infinite_links);
+                let eval = Evaluator::new(graph, &cluster, comm, infinite_links);
+                let fast = eval
+                    .schedule(placement.clone())
+                    .expect("evaluator schedules");
+                assert_eq!(bits(&fast), bits(&reference), "{} seed {k}", graph.name());
+                let cost = eval.cost(&placement).expect("evaluator scores");
+                assert_eq!(cost.to_bits(), reference_cost.to_bits());
+            }
+        }
     }
 }
