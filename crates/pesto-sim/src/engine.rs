@@ -3,6 +3,7 @@
 use crate::error::SimError;
 use crate::faults::{FaultAttribution, FaultPlan};
 use crate::report::{OpSpan, PipelineStats, SimReport, TransferSpan};
+use crate::routes::Routes;
 use pesto_cost::CommModel;
 use pesto_graph::{Cluster, DeviceId, FrozenGraph, LinkId, OpId, Plan};
 use pesto_obs::Obs;
@@ -33,14 +34,18 @@ pub struct Simulator<'a> {
     /// out-edges, in edge-list order.
     out_start: Vec<usize>,
     out_edges: Vec<usize>,
+    /// The link each cross-device transfer takes, built once.
+    routes: Routes,
 }
 
-/// Events carry *instance* indices: with K steps every op (and every edge)
-/// is instantiated K times, instance `s * n + i` being op `i` in step `s`.
+/// With K steps every op (and every edge) is instantiated K times. Events
+/// and queued transfers carry an instance as its `(step, index)` pair, and
+/// per-instance state is stored flat at `step * n + index`, so the event
+/// loop multiplies to reach it but never divides.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum EventKind {
-    OpFinish { inst: usize },
-    TransferFinish { link: LinkId, einst: usize },
+    OpFinish { step: u32, op: u32 },
+    TransferFinish { link: u32, step: u32, edge: u32 },
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -73,7 +78,8 @@ impl Ord for Event {
 
 #[derive(Debug, Clone, Copy)]
 struct QueuedTransfer {
-    einst: usize,
+    step: u32,
+    edge: u32,
     queued_us: f64,
 }
 
@@ -81,8 +87,9 @@ impl<'a> Simulator<'a> {
     /// Creates a simulator for a graph on a cluster with the given
     /// communication model. Memory checking is on by default.
     ///
-    /// The graph's out-edge index is built here, once, so that runs of many
-    /// plans of one graph do not rebuild it.
+    /// The graph's out-edge index and the cluster's device-pair link table
+    /// ([`Simulator::routes`]) are built here, once, so that runs of many
+    /// plans of one graph do not rebuild them.
     pub fn new(graph: &'a FrozenGraph, cluster: &'a Cluster, comm: CommModel) -> Self {
         let edges = graph.edges();
         let mut out_start = vec![0usize; graph.op_count() + 1];
@@ -110,7 +117,14 @@ impl<'a> Simulator<'a> {
             obs: Obs::disabled(),
             out_start,
             out_edges,
+            routes: Routes::new(cluster),
         }
+    }
+
+    /// The device-pair → link table this simulator routes transfers
+    /// through, for list schedulers that estimate the same transfers.
+    pub fn routes(&self) -> &Routes {
+        &self.routes
     }
 
     /// Sets the RNG seed used by the TensorFlow-default random-ready-queue
@@ -273,26 +287,29 @@ impl<'a> Simulator<'a> {
 
         // A step-s+1 instance additionally waits on its own step-s instance
         // (+1) and on every barrier gating it.
-        let mut pending_inputs: Vec<usize> = (0..n_inst)
-            .map(|inst| {
-                let i = inst % n;
+        let mut pending_inputs: Vec<usize> = Vec::with_capacity(n_inst);
+        for step in 0..steps {
+            pending_inputs.extend((0..n).map(|i| {
                 let base = self.graph.in_degree(OpId::from_index(i));
-                if inst < n {
+                if step == 0 {
                     base
                 } else {
                     base + 1 + extra_pending[i]
                 }
-            })
-            .collect();
+            }));
+        }
         let mut ready = vec![false; n_inst];
         let mut started = vec![false; n_inst];
         let mut completed = 0usize;
 
         // Scheduling state. Only the random-ready policy of plans without
-        // an explicit order draws from the per-device ready pools.
+        // an explicit order draws from the per-device ready pools, which
+        // hold `(step, op)` pairs. Each device's explicit order replays
+        // once per step; its pointer is the `(cycle, position)` of the next
+        // op to dispatch.
         let ordered = plan.order.as_ref();
-        let mut order_ptr = vec![0usize; n_dev];
-        let mut ready_pool: Vec<Vec<usize>> = vec![Vec::new(); n_dev];
+        let mut order_ptr = vec![(0usize, 0usize); n_dev];
+        let mut ready_pool: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n_dev];
         let mut rng = StdRng::seed_from_u64(self.seed);
 
         let mut device_busy = vec![false; n_dev];
@@ -349,12 +366,12 @@ impl<'a> Simulator<'a> {
         let mut step_finish = vec![0.0f64; steps];
 
         // Initially ready ops: only step-0 instances can have zero pending.
-        for inst in 0..n_inst {
-            if pending_inputs[inst] == 0 {
-                ready[inst] = true;
+        for i in 0..n {
+            if pending_inputs[i] == 0 {
+                ready[i] = true;
                 if ordered.is_none() {
-                    ready_pool[plan.placement.device(OpId::from_index(inst % n)).index()]
-                        .push(inst);
+                    ready_pool[plan.placement.device(OpId::from_index(i)).index()]
+                        .push((0, i as u32));
                 }
             }
         }
@@ -364,19 +381,23 @@ impl<'a> Simulator<'a> {
             ($dev:expr, $now:expr) => {{
                 let d: usize = $dev;
                 if !device_busy[d] && !device_dead(d, $now) {
-                    let next: Option<usize> = match ordered {
+                    let next: Option<(u32, u32)> = match ordered {
                         Some(order) => {
                             // The per-device list replays cyclically, once
                             // per step.
                             let list = order.on_device(DeviceId::from_index(d));
-                            if list.is_empty() || order_ptr[d] >= list.len() * steps {
+                            let (cycle, pos) = order_ptr[d];
+                            if list.is_empty() || cycle >= steps {
                                 None
                             } else {
-                                let ptr = order_ptr[d];
-                                let inst = (ptr / list.len()) * n + list[ptr % list.len()].index();
-                                if ready[inst] {
-                                    order_ptr[d] += 1;
-                                    Some(inst)
+                                let op = list[pos].index();
+                                if ready[cycle * n + op] {
+                                    order_ptr[d] = if pos + 1 == list.len() {
+                                        (cycle + 1, 0)
+                                    } else {
+                                        (cycle, pos + 1)
+                                    };
+                                    Some((cycle as u32, op as u32))
                                 } else {
                                     None
                                 }
@@ -393,11 +414,12 @@ impl<'a> Simulator<'a> {
                             }
                         }
                     };
-                    if let Some(inst) = next {
+                    if let Some((step, op)) = next {
+                        let inst = step as usize * n + op as usize;
                         debug_assert!(!started[inst]);
                         started[inst] = true;
                         device_busy[d] = true;
-                        let base = self.graph.op(OpId::from_index(inst % n)).compute_us();
+                        let base = self.graph.op(OpId::from_index(op as usize)).compute_us();
                         let s = factor(&slowdown, d);
                         let j = factor(&jitter, inst);
                         let dur = base * s * j;
@@ -409,7 +431,7 @@ impl<'a> Simulator<'a> {
                         heap.push(Event {
                             time: $now + dur,
                             seq,
-                            kind: EventKind::OpFinish { inst },
+                            kind: EventKind::OpFinish { step, op },
                         });
                     }
                 }
@@ -424,7 +446,8 @@ impl<'a> Simulator<'a> {
                         break;
                     };
                     {
-                        let (_, _, bytes) = edges[qt.einst % n_edge];
+                        let (_, _, bytes) = edges[qt.edge as usize];
+                        let einst = qt.step as usize * n_edge + qt.edge as usize;
                         let link_info = self.cluster.link(LinkId::from_index(l));
                         let begin = match faults {
                             Some(f) => f.stall_clear_time(LinkId::from_index(l), $now),
@@ -436,8 +459,8 @@ impl<'a> Simulator<'a> {
                         let dur = nominal / factor(&degradation, l);
                         attribution.degraded_transfer_extra_us += dur - nominal;
                         link_busy[l] = !self.infinite_links;
-                        transfer_start[qt.einst] = begin;
-                        transfer_queued[qt.einst] = qt.queued_us;
+                        transfer_start[einst] = begin;
+                        transfer_queued[einst] = qt.queued_us;
                         if self.infinite_links {
                             link_intervals[l].push((begin, begin + dur));
                         } else {
@@ -448,8 +471,9 @@ impl<'a> Simulator<'a> {
                             time: begin + dur,
                             seq,
                             kind: EventKind::TransferFinish {
-                                link: LinkId::from_index(l),
-                                einst: qt.einst,
+                                link: l as u32,
+                                step: qt.step,
+                                edge: qt.edge,
                             },
                         });
                     }
@@ -458,14 +482,15 @@ impl<'a> Simulator<'a> {
         }
 
         macro_rules! arrive {
-            ($inst:expr, $now:expr) => {{
-                let vi: usize = $inst;
+            ($step:expr, $op:expr, $now:expr) => {{
+                let (step, op): (usize, usize) = ($step, $op);
+                let vi = step * n + op;
                 pending_inputs[vi] -= 1;
                 if pending_inputs[vi] == 0 {
                     ready[vi] = true;
-                    let d = plan.placement.device(OpId::from_index(vi % n)).index();
+                    let d = plan.placement.device(OpId::from_index(op)).index();
                     if ordered.is_none() {
-                        ready_pool[d].push(vi);
+                        ready_pool[d].push((step as u32, op as u32));
                     }
                     try_dispatch!(d, $now);
                 }
@@ -481,9 +506,9 @@ impl<'a> Simulator<'a> {
             let now = ev.time;
             makespan = makespan.max(now);
             match ev.kind {
-                EventKind::OpFinish { inst } => {
-                    let op = OpId::from_index(inst % n);
-                    let step = inst / n;
+                EventKind::OpFinish { step, op } => {
+                    let (step, inst) = (step as usize, step as usize * n + op as usize);
+                    let op = OpId::from_index(op as usize);
                     let dev = plan.placement.device(op);
                     // Dead at and after the outage instant: work completing
                     // exactly at t is already lost.
@@ -509,16 +534,12 @@ impl<'a> Simulator<'a> {
                         let (_, v, _) = edges[edge_idx];
                         let vdev = plan.placement.device(v);
                         if vdev == dev {
-                            arrive!(step * n + v.index(), now);
+                            arrive!(step, v.index(), now);
                         } else {
-                            let Some(link) = self.cluster.link_between(dev, vdev) else {
-                                return Err(SimError::MissingLink {
-                                    src: dev,
-                                    dst: vdev,
-                                });
-                            };
+                            let link = self.routes.get(dev, vdev)?.link;
                             link_queue[link.index()].push_back(QueuedTransfer {
-                                einst: step * n_edge + edge_idx,
+                                step: step as u32,
+                                edge: edge_idx as u32,
                                 queued_us: now,
                             });
                             if self.obs.is_enabled() {
@@ -532,21 +553,22 @@ impl<'a> Simulator<'a> {
                     }
                     if step + 1 < steps {
                         // The op's own next-step instance may now start…
-                        arrive!(inst + n, now);
+                        arrive!(step + 1, op.index(), now);
                         // …and a finished weight update releases its barrier
                         // on the next step's gated ops.
                         for &target in &barrier_of[op.index()] {
-                            arrive!((step + 1) * n + target, now);
+                            arrive!(step + 1, target, now);
                         }
                     }
                     try_dispatch!(dev.index(), now);
                 }
-                EventKind::TransferFinish { link, einst } => {
-                    link_busy[link.index()] = false;
-                    let step = einst / n_edge;
-                    let (u, v, bytes) = edges[einst % n_edge];
+                EventKind::TransferFinish { link, step, edge } => {
+                    let (link, step, edge) = (link as usize, step as usize, edge as usize);
+                    link_busy[link] = false;
+                    let einst = step * n_edge + edge;
+                    let (u, v, bytes) = edges[edge];
                     transfer_spans.push(TransferSpan {
-                        link,
+                        link: LinkId::from_index(link),
                         src: u,
                         dst: v,
                         bytes,
@@ -555,8 +577,8 @@ impl<'a> Simulator<'a> {
                         finish_us: now,
                         step: step as u32,
                     });
-                    try_start_link!(link.index(), now);
-                    arrive!(step * n + v.index(), now);
+                    try_start_link!(link, now);
+                    arrive!(step, v.index(), now);
                 }
             }
         }
@@ -581,13 +603,12 @@ impl<'a> Simulator<'a> {
                 .and_then(|order| {
                     (0..n_dev).find_map(|d| {
                         let list = order.on_device(DeviceId::from_index(d));
-                        if list.is_empty() || order_ptr[d] >= list.len() * steps {
+                        let (cycle, pos) = order_ptr[d];
+                        if list.is_empty() || cycle >= steps {
                             return None;
                         }
-                        let ptr = order_ptr[d];
-                        let op = list[ptr % list.len()];
-                        let inst = (ptr / list.len()) * n + op.index();
-                        (!started[inst]).then_some(op)
+                        let op = list[pos];
+                        (!started[cycle * n + op.index()]).then_some(op)
                     })
                 })
                 .or_else(|| {

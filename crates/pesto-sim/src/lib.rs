@@ -75,8 +75,10 @@ mod engine;
 mod error;
 mod faults;
 mod report;
+mod routes;
 
 pub use engine::Simulator;
 pub use error::SimError;
 pub use faults::{FaultAttribution, FaultPlan, LinkStall, PerturbationSpec};
 pub use report::{MemoryProfile, OpSpan, PipelineStats, SimReport, TransferSpan};
+pub use routes::{Route, Routes};
