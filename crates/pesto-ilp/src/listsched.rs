@@ -9,7 +9,7 @@
 
 use pesto_cost::CommModel;
 use pesto_graph::{Cluster, DeviceId, FrozenGraph, LinkType, OpId, Placement, Plan, ScheduleOrder};
-use pesto_sim::{SimError, SimReport, Simulator};
+use pesto_sim::{Routes, SimError, SimReport, Simulator};
 
 /// Scores placements against the paper's objective: the congestion-aware
 /// makespan `C_max` under device memory (§3.2). A placement's plan is its
@@ -25,8 +25,10 @@ use pesto_sim::{SimError, SimReport, Simulator};
 /// schedule, and outage repair.
 ///
 /// Everything that does not depend on the placement is built once, in
-/// [`Evaluator::new`]: the b-levels the ETF pass ranks ready ops by, the
-/// device-pair link table, and the simulator with its out-edge index. A
+/// [`Evaluator::new`]: the b-levels the ETF pass ranks ready ops by, and
+/// the simulator with its out-edge index and the device-pair link table
+/// ([`Simulator::routes`]) that both the ETF pass and the simulator route
+/// transfers through. A
 /// call allocates only its own per-call buffers, so one evaluator can be
 /// shared by many threads, and every cost is bit-identical to
 /// [`etf_schedule`] plus the penalty.
@@ -62,7 +64,6 @@ pub struct Evaluator<'a> {
     sim: Simulator<'a>,
     horizon: f64,
     b_levels: Vec<f64>,
-    routes: Routes,
 }
 
 impl<'a> Evaluator<'a> {
@@ -85,7 +86,6 @@ impl<'a> Evaluator<'a> {
                 .with_infinite_links(infinite_links),
             horizon: graph.total_compute_us().max(1.0),
             b_levels: b_levels(graph, &comm),
-            routes: Routes::new(cluster),
         }
     }
 
@@ -100,7 +100,7 @@ impl<'a> Evaluator<'a> {
             self.cluster,
             &self.comm,
             &self.b_levels,
-            &self.routes,
+            self.sim.routes(),
             &placement,
         )?;
         simulate_order(placement, order, &self.sim)
@@ -159,66 +159,16 @@ fn b_levels(graph: &FrozenGraph, comm: &CommModel) -> Vec<f64> {
     bl
 }
 
-/// The directed link a transfer between two devices takes.
-#[derive(Debug, Clone, Copy)]
-struct Route {
-    link: usize,
-    link_type: LinkType,
-    speed: f64,
-}
-
-impl Route {
-    /// Transfer time of `bytes` on this link, µs.
-    fn transfer_us(&self, comm: &CommModel, bytes: u64) -> f64 {
-        comm.transfer_us(self.link_type, bytes) / self.speed
-    }
-}
-
-/// Dense device-pair → [`Route`] table: the link [`Cluster::link_between`]
-/// finds for each ordered pair, looked up in O(1) instead of a scan over
-/// the cluster's links.
-#[derive(Debug)]
-struct Routes {
-    devices: usize,
-    table: Vec<Option<Route>>,
-}
-
-impl Routes {
-    fn new(cluster: &Cluster) -> Self {
-        let devices = cluster.device_count();
-        let mut table = vec![None; devices * devices];
-        // Reverse, so the first link of a pair wins, as in `link_between`.
-        for l in cluster.links().iter().rev() {
-            let (src, dst) = (l.src().index(), l.dst().index());
-            if src < devices && dst < devices {
-                let info = cluster.link(l.id());
-                table[src * devices + dst] = Some(Route {
-                    link: l.id().index(),
-                    link_type: info.link_type(),
-                    speed: info.speed(),
-                });
-            }
-        }
-        Routes { devices, table }
-    }
-
-    fn get(&self, src: DeviceId, dst: DeviceId) -> Result<Route, SimError> {
-        let (s, d) = (src.index(), dst.index());
-        (s < self.devices && d < self.devices)
-            .then(|| self.table[s * self.devices + d])
-            .flatten()
-            .ok_or(SimError::MissingLink { src, dst })
-    }
-}
-
 /// Derives a per-device order for `placement` with an ETF policy and
 /// simulates the resulting plan.
 ///
-/// At every step the scheduler looks at all ready ops, estimates each one's
-/// earliest start (device availability, data arrivals over sequential
-/// links), and commits the op that can start soonest, breaking ties by
-/// longer critical tail (b-level). The committed order is then validated on
-/// the event simulator, whose report is returned.
+/// At every step the scheduler scans the ready ops, at most 64 of them:
+/// on a wider frontier, the 64 with the highest b-levels (longest
+/// critical tails). It estimates each scanned op's earliest start (device
+/// availability, data arrivals over sequential links) and commits the op
+/// that can start soonest, breaking ties by longer critical tail. The
+/// committed order is then validated on the event simulator, whose report
+/// is returned.
 ///
 /// This builds the placement-independent tables on every call; searches
 /// that score many placements of one graph use [`Evaluator`], which builds
@@ -281,9 +231,35 @@ fn simulate_order(
     Ok(ListScheduleResult { plan, report })
 }
 
+/// A ready op and what its start estimate depends on, fixed once its
+/// last input has finished.
+#[derive(Debug)]
+struct ReadyOp {
+    op: OpId,
+    dev: DeviceId,
+    b_level: f64,
+    /// The latest arrival of its inputs over idle links: each same-device
+    /// input's finish and each cross-device input's finish plus transfer.
+    data_ready: f64,
+    /// `bounds[start..end]` of the pass: for each link carrying an input,
+    /// the link and the longest transfer of those inputs on it.
+    bounds: (u32, u32),
+    /// The first input whose device has no link to `dev`.
+    missing: Option<(DeviceId, DeviceId)>,
+}
+
 /// The ETF pass behind [`etf_schedule`] and [`Evaluator`]: the per-device
 /// order of `placement`, given the graph's b-levels `bl` and the
 /// cluster's `routes`.
+///
+/// An input `p` of op `v` arrives over link `l` at `max(finish_p,
+/// free_l) + t_p`. Rounding is monotone, so that equals `max(finish_p +
+/// t_p, free_l + t_p)` bit for bit, and over all of `v`'s inputs the
+/// estimate `max(device_free, arrivals)` equals `max(device_free,
+/// data_ready, free_l + longest_l for each link l)`, where only `free_l`
+/// and `device_free` change while `v` waits. `data_ready` and `longest_l`
+/// are fixed when `v` becomes ready ([`ReadyOp`]), so a step reads one
+/// value per incoming link instead of every input and its transfer time.
 fn etf_order(
     graph: &FrozenGraph,
     cluster: &Cluster,
@@ -297,17 +273,57 @@ fn etf_order(
     // O(K·deg) instead of O(|ready|·deg) on 20k+-op graphs.
     const SCAN_LIMIT: usize = 64;
     let n = graph.op_count();
-    let mut device_free = vec![0.0f64; cluster.device_count()];
+    let devices = cluster.device_count();
+    // The simulator validates the plan, but only after this pass has
+    // indexed the placement: reject what would index out of range here,
+    // with the error the simulator's validation gives.
+    if placement.op_count() != n || placement.as_slice().iter().any(|d| d.index() >= devices) {
+        placement.validate(graph, cluster)?;
+    }
+    let mut device_free = vec![0.0f64; devices];
     let mut link_free = vec![0.0f64; cluster.link_count()];
     let mut finish = vec![0.0f64; n];
     let mut remaining_preds: Vec<usize> = (0..n)
         .map(|i| graph.in_degree(OpId::from_index(i)))
         .collect();
-    let mut ready: Vec<OpId> = (0..n)
+    let mut bounds: Vec<(usize, f64)> = Vec::new();
+    let ready_op = |op: OpId, finish: &[f64], bounds: &mut Vec<(usize, f64)>| {
+        let dev = placement.device(op);
+        let start = bounds.len();
+        let mut data_ready = f64::NEG_INFINITY;
+        let mut missing = None;
+        for &(p, bytes) in graph.preds_with_bytes(op) {
+            let pdev = placement.device(p);
+            if pdev == dev {
+                data_ready = data_ready.max(finish[p.index()]);
+                continue;
+            }
+            let Ok(route) = routes.get(pdev, dev) else {
+                missing = missing.or(Some((pdev, dev)));
+                continue;
+            };
+            let t = route.transfer_us(comm, bytes);
+            data_ready = data_ready.max(finish[p.index()] + t);
+            let link = route.link.index();
+            match bounds[start..].iter_mut().find(|(l, _)| *l == link) {
+                Some((_, longest)) => *longest = longest.max(t),
+                None => bounds.push((link, t)),
+            }
+        }
+        ReadyOp {
+            op,
+            dev,
+            b_level: bl[op.index()],
+            data_ready,
+            bounds: (start as u32, bounds.len() as u32),
+            missing,
+        }
+    };
+    let mut ready: Vec<ReadyOp> = (0..n)
         .filter(|&i| remaining_preds[i] == 0)
-        .map(OpId::from_index)
+        .map(|i| ready_op(OpId::from_index(i), &finish, &mut bounds))
         .collect();
-    let mut order: Vec<Vec<OpId>> = vec![Vec::new(); cluster.device_count()];
+    let mut order: Vec<Vec<OpId>> = vec![Vec::new(); devices];
     // Positions in `ready` scanned this step.
     let mut scan: Vec<usize> = Vec::new();
 
@@ -321,30 +337,25 @@ fn etf_order(
         scan.extend(0..ready.len());
         if scan.len() > SCAN_LIMIT {
             scan.select_nth_unstable_by(SCAN_LIMIT - 1, |&a, &b| {
-                bl[ready[b].index()].total_cmp(&bl[ready[a].index()])
+                ready[b].b_level.total_cmp(&ready[a].b_level)
             });
             scan.truncate(SCAN_LIMIT);
         }
         let mut best: Option<(usize, f64)> = None;
         for &idx in &scan {
-            let op = ready[idx];
-            let dev = placement.device(op);
-            let mut est = device_free[dev.index()];
-            for &(p, bytes) in graph.preds_with_bytes(op) {
-                let pdev = placement.device(p);
-                let arrival = if pdev == dev {
-                    finish[p.index()]
-                } else {
-                    let route = routes.get(pdev, dev)?;
-                    finish[p.index()].max(link_free[route.link]) + route.transfer_us(comm, bytes)
-                };
-                est = est.max(arrival);
+            let r = &ready[idx];
+            if let Some((src, dst)) = r.missing {
+                return Err(SimError::MissingLink { src, dst });
+            }
+            let mut est = device_free[r.dev.index()].max(r.data_ready);
+            for &(link, longest) in &bounds[r.bounds.0 as usize..r.bounds.1 as usize] {
+                est = est.max(link_free[link] + longest);
             }
             let better = match best {
                 None => true,
                 Some((bidx, bstart)) => {
                     est < bstart - 1e-12
-                        || (est < bstart + 1e-12 && bl[op.index()] > bl[ready[bidx].index()])
+                        || (est < bstart + 1e-12 && r.b_level > ready[bidx].b_level)
                 }
             };
             if better {
@@ -352,8 +363,7 @@ fn etf_order(
             }
         }
         let (idx, _) = best.expect("ready set is non-empty");
-        let op = ready.swap_remove(idx);
-        let dev = placement.device(op);
+        let ReadyOp { op, dev, .. } = ready.swap_remove(idx);
 
         // Commit: transfers first (updating link availability), then the op.
         let mut start = device_free[dev.index()];
@@ -363,9 +373,9 @@ fn etf_order(
                 finish[p.index()]
             } else {
                 let route = routes.get(pdev, dev)?;
-                let t1 =
-                    finish[p.index()].max(link_free[route.link]) + route.transfer_us(comm, bytes);
-                link_free[route.link] = t1;
+                let link = route.link.index();
+                let t1 = finish[p.index()].max(link_free[link]) + route.transfer_us(comm, bytes);
+                link_free[link] = t1;
                 t1
             };
             start = start.max(arrival);
@@ -377,7 +387,7 @@ fn etf_order(
         for &s in graph.succs(op) {
             remaining_preds[s.index()] -= 1;
             if remaining_preds[s.index()] == 0 {
-                ready.push(s);
+                ready.push(ready_op(s, &finish, &mut bounds));
             }
         }
     }
@@ -471,5 +481,32 @@ mod tests {
             .makespan_us();
         assert!((serial_ms - 800.0).abs() < 1e-9);
         assert!((spread_ms - 400.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn invalid_placement_is_the_simulators_error_not_a_panic() {
+        // A 1-op placement of a 2-op graph, and a placement on a device
+        // the cluster lacks: the ETF pass must not index either.
+        let mut g = OpGraph::new("pair");
+        let a = g.add_op("a", DeviceKind::Gpu, 10.0, 0);
+        let b = g.add_op("b", DeviceKind::Gpu, 20.0, 0);
+        g.add_edge(a, b, 256).unwrap();
+        let g = g.freeze().unwrap();
+        let cluster = Cluster::two_gpus();
+        let comm = CommModel::default_v100();
+        let sim = sim_for(&g, &cluster);
+        let eval = Evaluator::new(&g, &cluster, comm, false);
+        let mut off_cluster = Placement::uniform(2, cluster.gpu(0));
+        off_cluster.set_device(b, DeviceId::from_index(cluster.device_count()));
+        for placement in [Placement::uniform(1, cluster.gpu(0)), off_cluster] {
+            let want = sim
+                .run(&Plan::placement_only(placement.clone()))
+                .unwrap_err();
+            assert!(matches!(want, SimError::InvalidPlan(_)), "{want:?}");
+            let got = etf_schedule(&g, &cluster, &comm, placement.clone(), &sim).unwrap_err();
+            assert_eq!(got, want);
+            assert_eq!(eval.schedule(placement.clone()).unwrap_err(), want);
+            assert_eq!(eval.cost(&placement).unwrap_err(), want);
+        }
     }
 }
