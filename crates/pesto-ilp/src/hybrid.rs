@@ -712,8 +712,11 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
     restart_span.set_attr("resumed", resume.is_some());
 
     // Search effort, added to the telemetry once when the chain returns.
+    // `evaluations` counts every scored candidate, including the swaps
+    // within one device scored without an evaluation.
     let mut evaluations = 1u64;
     let mut accepted = 0u64;
+    let mut unchanged_swaps = 0u64;
     let mut cur_cost = eval.cost(&placement)?;
     let mut best = match resume {
         // Re-score the saved incumbent (the evaluator is deterministic, so
@@ -801,7 +804,12 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
         // Half of the single flips target *boundary* ops (ops with at least
         // one cross-device edge), where placement changes actually move the
         // communication structure. Only movable units are ever proposed.
+        // A swap of two units on one device proposes the current placement
+        // again; it is scored as `cur_cost`, which is the evaluator's cost
+        // of the current placement, and goes through the same accept rule
+        // and RNG draws as any candidate.
         let mut cand = placement.clone();
+        let mut unchanged = false;
         let move_unit = |cand: &mut Placement, unit: &[OpId], dev| {
             for &id in unit {
                 cand.set_device(id, dev);
@@ -811,6 +819,7 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
             let a = &units[movable[rng.gen_range(0..movable.len())]];
             let b = &units[movable[rng.gen_range(0..movable.len())]];
             let (da, db) = (cand.device(a[0]), cand.device(b[0]));
+            unchanged = da == db;
             move_unit(&mut cand, a, db);
             move_unit(&mut cand, b, da);
         } else {
@@ -842,7 +851,12 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
             }
             move_unit(&mut cand, unit, next);
         }
-        let cand_cost = eval.cost(&cand)?;
+        let cand_cost = if unchanged {
+            unchanged_swaps += 1;
+            cur_cost
+        } else {
+            eval.cost(&cand)?
+        };
         evaluations += 1;
         let accept = cand_cost < cur_cost
             || rng.gen_bool(((cur_cost - cand_cost) / temp).exp().clamp(0.0, 1.0));
@@ -875,6 +889,7 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
     }
     obs.counter_add("hybrid.evaluations", evaluations);
     obs.counter_add("hybrid.accepted", accepted);
+    obs.counter_add("hybrid.unchanged_swaps", unchanged_swaps);
     Ok((best.0, best.1, truncated))
 }
 
@@ -1150,6 +1165,13 @@ mod tests {
         assert_eq!(obs.counter("hybrid.evaluations"), 2 * 401);
         let accepted = obs.counter("hybrid.accepted");
         assert!(accepted > 0 && accepted <= 2 * 400, "accepted {accepted}");
+        // A swap within one device re-proposes the current placement: it
+        // scores `cur_cost` and the accept rule always takes it.
+        let unchanged = obs.counter("hybrid.unchanged_swaps");
+        assert!(
+            unchanged > 0 && unchanged <= accepted,
+            "unchanged {unchanged}, accepted {accepted}"
+        );
 
         let off = Obs::disabled();
         let cfg = HybridConfig {
@@ -1159,6 +1181,7 @@ mod tests {
         let plain = HybridSolver::new(cfg).solve(&g, &cluster, &comm()).unwrap();
         assert_eq!(off.counter("hybrid.evaluations"), 0);
         assert_eq!(off.counter("hybrid.accepted"), 0);
+        assert_eq!(off.counter("hybrid.unchanged_swaps"), 0);
         assert_eq!(off.metrics_json(), Obs::disabled().metrics_json());
         assert_eq!(
             traced.plan, plain.plan,
