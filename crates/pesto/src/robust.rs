@@ -28,7 +28,7 @@ use pesto_cost::{detect_drift, CommModel, DriftConfig, DriftReport};
 use pesto_graph::{Cluster, DeviceId, DeviceKind, LinkType, OpId, Placement, Plan};
 use pesto_ilp::{Evaluator, HybridConfig, HybridSolver, IlpError};
 use pesto_obs::{Obs, SolverEventKind};
-use pesto_sim::{FaultPlan, PerturbationSpec, Simulator};
+use pesto_sim::{FaultPlan, PerturbationSpec, SimError, Simulator};
 use serde::Serialize;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -236,6 +236,8 @@ pub struct RepairOutcome {
 ///
 /// # Errors
 ///
+/// * [`PestoError::Sim`] with [`SimError::InvalidPlan`] if `plan` does
+///   not validate against `graph` and `cluster`;
 /// * [`PestoError::NoGpus`] if no GPU survives;
 /// * [`PestoError::Repair`] if `failed` is not a GPU of `cluster` or a
 ///   stranded op fits on no surviving device;
@@ -249,6 +251,8 @@ pub fn repair_after_outage(
     budget: Duration,
 ) -> Result<RepairOutcome, PestoError> {
     let search_deadline = Instant::now() + budget;
+    plan.validate(graph, cluster)
+        .map_err(SimError::InvalidPlan)?;
     let survivors = cluster
         .without_gpu(failed)
         .map_err(|e| PestoError::Repair(format!("cannot remove {failed:?}: {e}")))?;
@@ -934,5 +938,36 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, PestoError::Repair(_)));
+    }
+
+    #[test]
+    fn repair_rejects_an_invalid_plan_as_the_simulator_does() {
+        // A placement one op short (a plan of another graph) and one on a
+        // device the cluster lacks: both fail validation, with the error
+        // `Simulator::run` gives, instead of indexing out of range.
+        let graph = ModelSpec::transformer(1, 2, 64).generate(4, 1);
+        let cluster = Cluster::two_gpus();
+        let valid = Placement::affinity_default(&graph, &cluster);
+        let n = graph.op_count();
+        let short = Placement::from_vec(valid.as_slice()[..n - 1].to_vec());
+        let mut off_cluster = valid;
+        off_cluster.set_device(OpId::from_index(n / 2), DeviceId::from_index(7));
+        for placement in [short, off_cluster] {
+            let plan = Plan::placement_only(placement);
+            let sim_err = Simulator::new(&graph, &cluster, comm())
+                .run(&plan)
+                .unwrap_err();
+            assert!(matches!(sim_err, SimError::InvalidPlan(_)), "{sim_err:?}");
+            let err = repair_after_outage(
+                &graph,
+                &cluster,
+                comm(),
+                &plan,
+                cluster.gpus()[1],
+                Duration::ZERO,
+            )
+            .unwrap_err();
+            assert_eq!(err, PestoError::Sim(sim_err));
+        }
     }
 }

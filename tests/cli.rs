@@ -227,6 +227,48 @@ fn place_writes_trace_and_metrics_files() {
 }
 
 #[test]
+fn repair_of_a_plan_for_another_graph_is_a_clean_error() {
+    // A 260-op NASNet-2-8 plan against a larger RNNLM-2-256 graph: the
+    // plan is rejected as `simulate` rejects it (exit 1), not with an
+    // out-of-range panic (exit 101).
+    let generate = |args: &[&str], name: &str| {
+        let out = pesto_bin().args(args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let path = tmp(name);
+        std::fs::write(&path, &out.stdout).unwrap();
+        path
+    };
+    let big = generate(&["generate", "rnnlm", "2", "256"], "repair-big.json");
+    let small = generate(&["generate", "nasnet", "2", "8"], "repair-small.json");
+    let plan = generate(
+        &["baseline", "m_sct", small.to_str().unwrap()],
+        "repair-plan.json",
+    );
+    for cmd in [
+        &["simulate", big.to_str().unwrap(), plan.to_str().unwrap()][..],
+        &[
+            "repair",
+            big.to_str().unwrap(),
+            plan.to_str().unwrap(),
+            "--failed",
+            "1",
+        ],
+    ] {
+        let out = pesto_bin().args(cmd).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{}", cmd[0]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("invalid plan: unknown operation"), "{err}");
+    }
+    for p in [big, small, plan] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
 fn gpus_flag_is_validated() {
     let out = pesto_bin()
         .args(["baseline", "m_topo", "/dev/null", "--gpus", "abc"])
