@@ -705,8 +705,9 @@ use proptest::prelude::*;
 enum Order {
     /// The ETF list schedule of the placement.
     Etf,
-    /// The reverse of a topological order: every edge inside one device
-    /// points backwards, so the run deadlocks.
+    /// The ETF order with the back half of each device's list reversed:
+    /// the front half dispatches, then an op waits on an input scheduled
+    /// after it, so most such runs deadlock part-way through a list.
     Deadlocking,
     /// No order: the random ready-queue policy under this seed.
     Random(u64),
@@ -777,18 +778,26 @@ fn build_case(seed: u64) -> Case {
         2 => Order::Deadlocking,
         _ => Order::Random(1 + draw(2)),
     };
+    let etf = || {
+        let sim = pesto_sim::Simulator::new(&graph, &cluster, comm).with_memory_check(false);
+        etf_schedule(&graph, &cluster, &comm, placement.clone(), &sim)
+            .expect("ETF schedules the placement")
+            .plan
+    };
     let plan = match order {
-        Order::Etf => {
-            let sim = pesto_sim::Simulator::new(&graph, &cluster, comm).with_memory_check(false);
-            etf_schedule(&graph, &cluster, &comm, placement, &sim)
-                .expect("ETF schedules the placement")
-                .plan
-        }
+        Order::Etf => etf(),
         Order::Deadlocking => {
-            let reversed: Vec<OpId> = graph.topo_order().iter().rev().copied().collect();
-            let order =
-                ScheduleOrder::from_global_order(&placement, &reversed, cluster.device_count());
-            Plan::with_order(placement, order)
+            let etf = etf();
+            let order = etf.order.as_ref().expect("ETF plans are ordered");
+            let lists = (0..order.device_count())
+                .map(|d| {
+                    let mut list = order.on_device(DeviceId::from_index(d)).to_vec();
+                    let half = list.len() / 2;
+                    list[half..].reverse();
+                    list
+                })
+                .collect();
+            Plan::with_order(etf.placement, ScheduleOrder::from_vecs(lists))
         }
         Order::Random(_) => Plan::placement_only(placement),
     };
@@ -832,10 +841,8 @@ fn build_case(seed: u64) -> Case {
     }
 }
 
-/// Both engines' results for `case`, as their `Debug` text: `{:?}` prints
-/// every f64 in its shortest round-trip form, so equal renderings are
-/// equal bits.
-fn run_both(case: &Case) -> (String, String) {
+/// Both engines' results for `case`.
+fn run_both(case: &Case) -> (Result<SimReport, SimError>, Result<SimReport, SimError>) {
     let comm = CommModel::default_v100();
     let seed = match case.order {
         Order::Random(seed) => seed,
@@ -864,10 +871,13 @@ fn run_both(case: &Case) -> (String, String) {
         reference = reference.with_faults(f.clone());
         current = current.with_faults(f.clone());
     }
-    (
-        format!("{:?}", reference.run(&case.plan)),
-        format!("{:?}", current.run(&case.plan)),
-    )
+    (reference.run(&case.plan), current.run(&case.plan))
+}
+
+/// `{:?}` prints every f64 in its shortest round-trip form, so equal
+/// renderings are equal bits.
+fn bits(result: &Result<SimReport, SimError>) -> String {
+    format!("{result:?}")
 }
 
 proptest! {
@@ -877,31 +887,52 @@ proptest! {
     fn engine_is_bit_identical_to_the_reference(seed in any::<u64>()) {
         let case = build_case(seed);
         let (reference, current) = run_both(&case);
-        prop_assert_eq!(current, reference);
+        prop_assert_eq!(bits(&current), bits(&reference));
     }
 }
 
 /// The generator reaches what the property is about: pipelined runs
-/// with barriers, every plan kind, faulted runs, and the deadlock, device
-/// loss and out-of-memory errors. Each of these seeds is also checked
-/// against the reference.
+/// with barriers, every plan kind, faulted runs, and the deadlock (with
+/// the wedged op past the head of its device's list), device loss and
+/// out-of-memory errors. Each of these seeds is also checked against the
+/// reference.
 #[test]
 fn generated_cases_cover_every_outcome() {
     let (mut barriers, mut etf, mut random, mut faulted) = (0, 0, 0, 0);
-    let (mut deadlock, mut lost, mut oom, mut ok) = (0, 0, 0, 0);
+    let (mut wedged_mid_list, mut lost, mut oom, mut ok) = (0, 0, 0, 0);
     for seed in 0..200 {
         let case = build_case(seed);
         let (reference, current) = run_both(&case);
-        assert_eq!(current, reference, "seed {seed}");
+        assert_eq!(bits(&current), bits(&reference), "seed {seed}");
         barriers += usize::from(case.steps > 1 && !case.graph.weight_update_ops().is_empty());
         etf += usize::from(case.order == Order::Etf);
         random += usize::from(matches!(case.order, Order::Random(_)));
         faulted += usize::from(case.faults.is_some());
-        deadlock += usize::from(reference.starts_with("Err(Deadlock"));
-        lost += usize::from(reference.starts_with("Err(DeviceLost"));
-        oom += usize::from(reference.starts_with("Err(OutOfMemory"));
-        ok += usize::from(reference.starts_with("Ok("));
+        match &reference {
+            Err(SimError::Deadlock(op)) => {
+                let order = case
+                    .plan
+                    .order
+                    .as_ref()
+                    .expect("only ordered plans deadlock");
+                let list = order.on_device(case.plan.placement.device(*op));
+                wedged_mid_list += usize::from(list[0] != *op);
+            }
+            Err(SimError::DeviceLost { .. }) => lost += 1,
+            Err(SimError::OutOfMemory(_)) => oom += 1,
+            Ok(_) => ok += 1,
+            Err(_) => {}
+        }
     }
-    let counts = [barriers, etf, random, faulted, deadlock, lost, oom, ok];
+    let counts = [
+        barriers,
+        etf,
+        random,
+        faulted,
+        wedged_mid_list,
+        lost,
+        oom,
+        ok,
+    ];
     assert!(counts.iter().all(|&c| c > 0), "{counts:?}");
 }
