@@ -28,10 +28,9 @@ use pesto_sim::{Routes, SimError, SimReport, Simulator};
 /// [`Evaluator::new`]: the b-levels the ETF pass ranks ready ops by, and
 /// the simulator with its out-edge index and the device-pair link table
 /// ([`Simulator::routes`]) that both the ETF pass and the simulator route
-/// transfers through. A
-/// call allocates only its own per-call buffers, so one evaluator can be
-/// shared by many threads, and every cost is bit-identical to
-/// [`etf_schedule`] plus the penalty.
+/// transfers through. A call allocates only its own per-call buffers, so
+/// one evaluator can be shared by many threads, and every cost is
+/// bit-identical to [`etf_schedule`] plus the penalty.
 ///
 /// # Example
 ///
@@ -269,8 +268,8 @@ fn etf_order(
     placement: &Placement,
 ) -> Result<ScheduleOrder, SimError> {
     // On very wide frontiers only the highest-priority (b-level) ready ops
-    // are scanned: a standard bounded-lookahead ETF that keeps each step
-    // O(K·deg) instead of O(|ready|·deg) on 20k+-op graphs.
+    // are scanned: a standard bounded-lookahead ETF that estimates at most
+    // K ops per step instead of every ready op on 20k+-op graphs.
     const SCAN_LIMIT: usize = 64;
     let n = graph.op_count();
     let devices = cluster.device_count();
@@ -508,5 +507,35 @@ mod tests {
             assert_eq!(eval.schedule(placement.clone()).unwrap_err(), want);
             assert_eq!(eval.cost(&placement).unwrap_err(), want);
         }
+    }
+
+    #[test]
+    fn missing_link_is_the_simulators_error() {
+        // A deserialized cluster can lack a link: drop the last one
+        // (GPU 1 -> GPU 0) and feed GPU 0 from GPU 1.
+        let json = serde_json::to_string(&Cluster::two_gpus()).unwrap();
+        let cut = json.rfind(",{").unwrap();
+        let cluster: Cluster = serde_json::from_str(&format!("{}]}}", &json[..cut])).unwrap();
+        let (gpu0, gpu1) = (cluster.gpu(0), cluster.gpu(1));
+        assert_eq!(cluster.link_between(gpu1, gpu0), None);
+        let mut g = OpGraph::new("pair");
+        let a = g.add_op("a", DeviceKind::Gpu, 10.0, 0);
+        let b = g.add_op("b", DeviceKind::Gpu, 20.0, 0);
+        g.add_edge(a, b, 256).unwrap();
+        let g = g.freeze().unwrap();
+        let mut placement = Placement::uniform(2, gpu1);
+        placement.set_device(b, gpu0);
+        let want = SimError::MissingLink {
+            src: gpu1,
+            dst: gpu0,
+        };
+        let sim = sim_for(&g, &cluster);
+        let run = sim.run(&Plan::placement_only(placement.clone()));
+        assert_eq!(run.unwrap_err(), want);
+        let comm = CommModel::default_v100();
+        let etf = etf_schedule(&g, &cluster, &comm, placement.clone(), &sim);
+        assert_eq!(etf.unwrap_err(), want);
+        let eval = Evaluator::new(&g, &cluster, comm, false);
+        assert_eq!(eval.cost(&placement).unwrap_err(), want);
     }
 }
