@@ -130,8 +130,8 @@ fn all_digests() -> Vec<(String, u64)> {
         got.extend(solve(&format!("{name} 2gpu"), graph, &two, |_| {}));
         got.extend(solve(&format!("{name} 4gpu"), graph, &four, |_| {}));
     }
-    // Every third GPU vertex pinned: unseeded restarts keep those units
-    // at the first seed's placement.
+    // Every third vertex pinned: unseeded restarts keep the units holding
+    // one at the first seed's placement.
     let pinned: Vec<bool> = (0..rnnlm.op_count()).map(|i| i % 3 == 0).collect();
     got.extend(solve("rnnlm pinned", &rnnlm, &four, |c| {
         c.pinned = Some(pinned.clone());
@@ -156,8 +156,9 @@ fn all_digests() -> Vec<(String, u64)> {
 
     // Incumbent exchange, then a resume from its first mid-run snapshot.
     // Under exchange the chains run in lockstep segments and publish at
-    // each boundary, so the first snapshot is the same on every run (all
-    // chains at iteration 100).
+    // each boundary; with the checkpoint cadence equal to the segment
+    // length no chain publishes mid-segment, so the first snapshot is the
+    // same on every run (all chains at iteration 100).
     let seen: Arc<Mutex<Vec<HybridSearchState>>> = Arc::new(Mutex::new(Vec::new()));
     let sink_seen = seen.clone();
     let sink = CheckpointSink::new(move |s| sink_seen.lock().unwrap().push(s.clone()));
