@@ -39,16 +39,19 @@ mod problem;
 mod simplex;
 
 pub use problem::{LpError, Problem, Relation, Sense, Solution, VarId};
-pub use simplex::set_parallel_override;
 
-/// Installs the process-global worker-thread count used by the parallel
-/// simplex kernels (and anything else built on the same rayon pool).
+/// Sizes the process-global rayon pool.
+///
+/// No solver reads this pool: the simplex is serial, and branch and bound
+/// runs its workers on scoped threads (`pesto_milp::MilpConfig::threads`).
+/// No code in this workspace calls it either. It stays for the benchmark
+/// crate in `perfbench/`, which calls it and reports the pool size as
+/// `lp_pool_threads`. It goes, together with this crate's `rayon`
+/// dependency and `vendor/rayon/`, once the benchmark stops calling it.
 ///
 /// The first caller wins, like rayon's `build_global`; re-asserting the
 /// value already in effect also succeeds. Returns whether `n` is now the
-/// active thread count. `n = 0` is ignored (returns `false`); `n = 1`
-/// pins the kernels to their serial paths, which are bit-identical to the
-/// parallel ones but skip the fork/join machinery entirely.
+/// active thread count. `n = 0` is ignored (returns `false`).
 pub fn configure_threads(n: usize) -> bool {
     if n == 0 {
         return false;

@@ -14,55 +14,13 @@
 //! solver switches to Bland's rule, which guarantees termination. The
 //! switch is a one-way latch per simplex run: flipping back to Dantzig
 //! mid-stall would discard the anti-cycling guarantee.
-//!
-//! # Parallel kernels
-//!
-//! The three per-pivot O(m·n) kernels — Dantzig pricing over columns, the
-//! ratio test over rows, and the pivot row-update — run on rayon when the
-//! tableau is large enough ([`PAR_PRICE_COLS`] / [`PAR_RATIO_ROWS`] /
-//! [`PAR_PIVOT_CELLS`]) and more than one thread is configured
-//! (`rayon::current_num_threads()`). Every parallel reduction is
-//! associative with a strict deterministic tie-break (lowest column index
-//! for pricing, lowest basis index inside the EPS band for the ratio
-//! test), and the row-update performs the same arithmetic per row as the
-//! serial loop — so the pivot sequence, pivot count, and every f64 in the
-//! solution are **bit-identical** at any thread count.
 
 use crate::problem::{LpError, Problem, Relation, Sense, Solution};
-use rayon::prelude::*;
-use std::cell::Cell;
 
 const EPS: f64 = 1e-9;
 const PIVOT_EPS: f64 = 1e-7;
 /// Consecutive non-improving pivots before switching to Bland's rule.
 const DEGENERATE_SWITCH: usize = 64;
-
-/// Minimum column count before pricing fans out over threads.
-const PAR_PRICE_COLS: usize = 512;
-/// Minimum row count before the ratio test fans out over threads.
-const PAR_RATIO_ROWS: usize = 512;
-/// Minimum `rows * columns` before the pivot row-update fans out.
-const PAR_PIVOT_CELLS: usize = 64 * 1024;
-
-thread_local! {
-    /// Test/bench hook (see [`set_parallel_override`]).
-    static PAR_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-/// Forces the parallel kernels on (`Some(true)`, ignoring the size
-/// thresholds) or off (`Some(false)`) for solves issued from the current
-/// thread; `None` restores the size-threshold heuristic. The result is
-/// bit-identical either way — this hook exists so tests and benchmarks can
-/// pin which code path they measure.
-pub fn set_parallel_override(v: Option<bool>) {
-    PAR_OVERRIDE.with(|c| c.set(v));
-}
-
-/// Should a kernel whose size test returned `size_ok` run in parallel?
-fn parallel(size_ok: bool) -> bool {
-    let wanted = PAR_OVERRIDE.with(|c| c.get()).unwrap_or(size_ok);
-    wanted && rayon::current_num_threads() > 1
-}
 
 struct Row {
     coeffs: Vec<f64>, // dense over structural variables
@@ -265,7 +223,7 @@ fn run_simplex(
     obj: &mut [f64],
     basis: &mut [usize],
     total: usize,
-    allowed: &(dyn Fn(usize) -> bool + Sync),
+    allowed: &dyn Fn(usize) -> bool,
     iter_limit: usize,
 ) -> Result<u64, LpError> {
     let mut degenerate_streak = 0usize;
@@ -296,44 +254,25 @@ fn run_simplex(
 
 /// Picks the entering column: Bland's rule takes the lowest-index
 /// improving column; Dantzig takes the most negative reduced cost, ties
-/// broken toward the lowest index (so the parallel reduction and the
-/// serial scan agree exactly).
+/// broken toward the lowest index.
 fn choose_entering(
     obj: &[f64],
     total: usize,
-    allowed: &(dyn Fn(usize) -> bool + Sync),
+    allowed: &dyn Fn(usize) -> bool,
     bland: bool,
 ) -> Option<usize> {
     if bland {
-        // Lowest improving index: a serial scan with early exit is both
-        // correct and fastest.
         return (0..total).find(|&j| allowed(j) && obj[j] < -EPS);
     }
-    if parallel(total >= PAR_PRICE_COLS) {
-        obj[..total]
-            .par_iter()
-            .enumerate()
-            .filter(|&(j, &dj)| dj < -EPS && allowed(j))
-            .map(|(j, &dj)| (j, dj))
-            .reduce_with(|a, b| {
-                if b.1 < a.1 || (b.1 == a.1 && b.0 < a.0) {
-                    b
-                } else {
-                    a
-                }
-            })
-            .map(|(j, _)| j)
-    } else {
-        let mut entering = None;
-        let mut best = -EPS;
-        for (j, &dj) in obj.iter().take(total).enumerate() {
-            if dj < best && allowed(j) {
-                best = dj;
-                entering = Some(j);
-            }
+    let mut entering = None;
+    let mut best = -EPS;
+    for (j, &dj) in obj.iter().take(total).enumerate() {
+        if dj < best && allowed(j) {
+            best = dj;
+            entering = Some(j);
         }
-        entering
     }
+    entering
 }
 
 /// Ratio test for entering column `e`: returns the leaving row and the
@@ -343,56 +282,32 @@ fn choose_entering(
 /// Two passes: pass 1 finds the exact minimum ratio; pass 2 picks, among
 /// the rows whose ratio lies within `EPS` of that minimum, the one with
 /// the lowest basis index (the Bland-style anti-cycling tie-break). A
-/// single-pass `ratio < best + EPS` scan — the previous implementation —
-/// could accept a ratio up to `EPS` *worse* than the incumbent, making the
-/// chosen row depend on scan order; the two-pass form is scan-order free,
-/// which is also what lets the parallel reduction match the serial path
-/// bit-for-bit.
+/// single-pass `ratio < best + EPS` scan could accept a ratio up to `EPS`
+/// *worse* than the incumbent, making the chosen row depend on scan order;
+/// the two-pass form is scan-order free.
 fn choose_leaving(
     tableau: &[Vec<f64>],
     basis: &[usize],
     e: usize,
     total: usize,
 ) -> Option<(usize, f64)> {
-    let par = parallel(tableau.len() >= PAR_RATIO_ROWS);
-    let min_ratio = if par {
-        tableau
-            .par_iter()
-            .filter_map(|row| {
-                let a = row[e];
-                (a > PIVOT_EPS).then(|| row[total] / a)
-            })
-            .reduce_with(f64::min)
-    } else {
-        tableau
-            .iter()
-            .filter_map(|row| {
-                let a = row[e];
-                (a > PIVOT_EPS).then(|| row[total] / a)
-            })
-            .fold(None, |acc: Option<f64>, r| {
-                Some(acc.map_or(r, |m| m.min(r)))
-            })
-    }?;
+    let min_ratio = tableau
+        .iter()
+        .filter_map(|row| {
+            let a = row[e];
+            (a > PIVOT_EPS).then(|| row[total] / a)
+        })
+        .reduce(f64::min)?;
     let band = min_ratio + EPS;
-    let in_band = |i: usize, row: &[f64]| {
-        let a = row[e];
-        (a > PIVOT_EPS && row[total] / a <= band).then(|| (i, basis[i]))
-    };
-    let pick = if par {
-        tableau
-            .par_iter()
-            .enumerate()
-            .filter_map(|(i, row)| in_band(i, row))
-            .reduce_with(|a, b| if b.1 < a.1 { b } else { a })
-    } else {
-        tableau
-            .iter()
-            .enumerate()
-            .filter_map(|(i, row)| in_band(i, row))
-            .reduce(|a, b| if b.1 < a.1 { b } else { a })
-    };
-    pick.map(|(i, _)| (i, min_ratio))
+    tableau
+        .iter()
+        .enumerate()
+        .filter_map(|(i, row)| {
+            let a = row[e];
+            (a > PIVOT_EPS && row[total] / a <= band).then(|| (i, basis[i]))
+        })
+        .reduce(|a, b| if b.1 < a.1 { b } else { a })
+        .map(|(i, _)| (i, min_ratio))
 }
 
 /// Pivots the tableau on `(row, col)`, updating the objective row and basis.
@@ -412,37 +327,16 @@ fn pivot(
         tableau[row][j] *= inv;
     }
     tableau[row][col] = 1.0; // kill round-off on the pivot itself
-                             // Eliminate the column from every other row. The parallel kernel does
-                             // the exact same per-row arithmetic against a copy of the (already
-                             // normalized) pivot row, so results are bit-identical to the serial
-                             // loop; the copy sidesteps aliasing between the pivot row and the rows
-                             // being updated.
-    if parallel(tableau.len().saturating_mul(total + 1) >= PAR_PIVOT_CELLS) {
-        let pivot_row = tableau[row].clone();
-        tableau.par_iter_mut().enumerate().for_each(|(i, r)| {
-            if i == row {
-                return;
+    for i in 0..tableau.len() {
+        if i == row {
+            continue;
+        }
+        let factor = tableau[i][col];
+        if factor.abs() > 0.0 {
+            for j in 0..=total {
+                tableau[i][j] -= factor * tableau[row][j];
             }
-            let factor = r[col];
-            if factor.abs() > 0.0 {
-                for j in 0..=total {
-                    r[j] -= factor * pivot_row[j];
-                }
-                r[col] = 0.0;
-            }
-        });
-    } else {
-        for i in 0..tableau.len() {
-            if i == row {
-                continue;
-            }
-            let factor = tableau[i][col];
-            if factor.abs() > 0.0 {
-                for j in 0..=total {
-                    tableau[i][j] -= factor * tableau[row][j];
-                }
-                tableau[i][col] = 0.0;
-            }
+            tableau[i][col] = 0.0;
         }
     }
     let factor = obj[col];
@@ -689,62 +583,6 @@ mod tests {
         let basis = vec![7, 2];
         let (row, _) = super::choose_leaving(&tableau, &basis, 0, total).unwrap();
         assert_eq!(row, 1, "band tie-break goes to the lowest basis index");
-    }
-
-    #[test]
-    fn parallel_kernels_bit_identical_to_serial() {
-        // Force both code paths on the same seeded problems and compare
-        // objective, values, and pivot counts exactly. Ensure the process
-        // really has worker threads (even on a 1-core host) so the
-        // parallel gate genuinely fans out.
-        let _ = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build_global();
-        let mk = |salt: u64| {
-            let mut p = Problem::new(Sense::Minimize);
-            let n = 14;
-            let vars: Vec<_> = (0..n)
-                .map(|i| {
-                    p.add_var(
-                        format!("x{i}"),
-                        0.0,
-                        10.0,
-                        ((salt + i as u64) % 7) as f64 - 3.0,
-                    )
-                })
-                .collect();
-            for r in 0..10 {
-                let terms: Vec<_> = vars
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| (v, (((salt as usize + r * 3 + i) % 5) as f64) - 1.0))
-                    .collect();
-                p.add_constraint(terms, crate::problem::Relation::Ge, -((r % 4) as f64));
-            }
-            p
-        };
-        for salt in 0..6u64 {
-            let p = mk(salt);
-            super::set_parallel_override(Some(false));
-            let serial = p.solve();
-            super::set_parallel_override(Some(true));
-            let par = p.solve();
-            super::set_parallel_override(None);
-            match (serial, par) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.objective.to_bits(), b.objective.to_bits(), "salt {salt}");
-                    assert_eq!(a.pivots, b.pivots, "salt {salt}");
-                    let same = a
-                        .values
-                        .iter()
-                        .zip(&b.values)
-                        .all(|(x, y)| x.to_bits() == y.to_bits());
-                    assert!(same, "salt {salt}: values differ");
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b, "salt {salt}"),
-                (a, b) => panic!("salt {salt}: diverging outcomes {a:?} vs {b:?}"),
-            }
-        }
     }
 
     #[test]

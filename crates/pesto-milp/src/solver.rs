@@ -1028,10 +1028,10 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_objective() {
-        for n in [8, 12, 14] {
+        for n in [8, 10, 12, 14, 18] {
             let milp = branchy_problem_wide(n);
             let serial = milp.solve(&MilpConfig::default()).unwrap();
-            for threads in [2, 4] {
+            for threads in [2, 3, 4] {
                 let cfg = MilpConfig {
                     threads,
                     ..MilpConfig::default()

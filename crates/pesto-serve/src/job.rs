@@ -52,8 +52,9 @@ pub struct JobSpec {
     pub profiler_iterations: Option<usize>,
     /// Solver worker threads, mapped onto
     /// [`pesto::PestoConfig::solver_threads`]: `None` (and `1`) keep the
-    /// deterministic serial solvers; larger values parallelize the LP
-    /// kernels and the MILP branch-and-bound for this job.
+    /// deterministic serial solvers; larger values run the MILP
+    /// branch-and-bound (and sharded region solves) on that many workers
+    /// for this job.
     pub threads: Option<usize>,
     /// Hierarchical sharding: when set, graphs with more ops than this
     /// region cap take the sharded path ([`pesto::PestoConfig::shard`]),

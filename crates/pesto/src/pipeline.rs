@@ -31,13 +31,12 @@ pub struct PestoConfig {
     /// Placement solver configuration.
     pub placer: PlacerConfig,
     /// Worker threads for the placement solvers. `1` (the default) keeps
-    /// every solver on its deterministic serial path. Values `> 1` are
-    /// applied in two places: the LP simplex kernels' global pool (via
-    /// [`pesto_lp::configure_threads`]; bit-identical results at any
-    /// thread count) and the MILP branch-and-bound
+    /// every solver on its deterministic serial path. Values `> 1` set the
+    /// MILP branch-and-bound workers
     /// ([`pesto_milp::MilpConfig::threads`]; still optimal, but node
-    /// counts may vary run to run). An explicit
-    /// `placer.ilp.milp.threads` larger than this value wins.
+    /// counts may vary run to run) and, on the sharded path, the region
+    /// workers. An explicit `placer.ilp.milp.threads` larger than this
+    /// value wins. The simplex under every node is serial at any value.
     pub solver_threads: usize,
     /// Deterministic seed (profiling noise + final evaluation tie-breaks).
     pub seed: u64,
@@ -703,9 +702,6 @@ impl Pesto {
             .config
             .time_budget
             .map(|b| b.saturating_sub(start.elapsed()).mul_f64(0.85));
-        if self.config.solver_threads > 1 {
-            pesto_lp::configure_threads(self.config.solver_threads);
-        }
         let sharder = pesto_shard::Sharder::new(self.comm, shard_config.clone());
         let run = pesto_shard::ShardRun {
             seed: self.config.seed,
@@ -972,11 +968,6 @@ impl Pesto {
         let mut placer_config = self.config.placer.clone();
         if placer_config.cancel.is_none() {
             placer_config.cancel = self.config.cancel.clone();
-        }
-        // Parallel solvers: install the LP-kernel pool size (process-global,
-        // first caller wins) and hand the B&B its worker count.
-        if self.config.solver_threads > 1 {
-            pesto_lp::configure_threads(self.config.solver_threads);
         }
         placer_config.ilp.milp.threads = placer_config
             .ilp
