@@ -25,7 +25,8 @@ pub enum MilpError {
     Unbounded,
     /// The model is malformed (propagated from the LP layer).
     InvalidModel(String),
-    /// Search ended (time/node limit) without any feasible solution found.
+    /// Search ended (time, node or simplex pivot limit) without any
+    /// feasible solution found.
     NoSolutionFound,
     /// The caller's [`CancelToken`] was raised; the search was abandoned
     /// without a result.
@@ -566,9 +567,13 @@ impl<'a> Search<'a> {
                     continue;
                 }
                 Err(LpError::IterationLimit) => {
-                    // Treat as pruned.
+                    // The pivot budget ran out: the node is unresolved, not
+                    // infeasible. Stop like any other limit, so its bound
+                    // stays held and the result cannot claim a proof.
                     obs.counter_add("milp.prune.iteration_limit", 1);
-                    continue;
+                    self.limits_hit.store(true, AtomicOrder::SeqCst);
+                    self.stop.store(true, AtomicOrder::SeqCst);
+                    return;
                 }
                 Err(LpError::InvalidModel(m)) => return self.fail(MilpError::InvalidModel(m)),
                 // LpError is non-exhaustive; treat future variants as fatal.

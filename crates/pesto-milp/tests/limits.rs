@@ -3,6 +3,7 @@
 
 use pesto_lp::{Problem, Relation, Sense};
 use pesto_milp::{MilpConfig, MilpError, MilpProblem, MilpStatus};
+use pesto_obs::Obs;
 use std::time::Duration;
 
 /// A deliberately hard instance: equality-partition with near-symmetric
@@ -112,6 +113,68 @@ fn warm_start_under_zero_deadline_returns_feasible_incumbent() {
         .expect("warm start must survive a zero deadline");
     assert_eq!(sol.status, MilpStatus::Feasible);
     assert!((sol.objective - exact.objective).abs() < 1e-6);
+    assert!(milp.is_integer_feasible(&sol.values, 1e-6));
+}
+
+/// A Klee–Minty cube of dimension 11, on which Dantzig pricing visits
+/// all 2^11 vertices, plus one binary `b` with objective 1. The root LP
+/// takes 2,048 pivots (2^11 − 1 on the cube, one for `b`), more than the
+/// simplex's budget of 1,360 at this size. `x = 0, b = 0` is feasible, and
+/// the optimum is 5^11 + 1.
+fn klee_minty_with_binary() -> MilpProblem {
+    let n = 11;
+    let mut lp = Problem::new(Sense::Maximize);
+    let xs: Vec<_> = (0..n)
+        .map(|j| lp.add_var(format!("x{j}"), 0.0, f64::INFINITY, 2f64.powi(n - 1 - j)))
+        .collect();
+    for i in 0..n {
+        let mut terms: Vec<_> = (0..i)
+            .map(|j| (xs[j as usize], 2f64.powi(i - j + 1)))
+            .collect();
+        terms.push((xs[i as usize], 1.0));
+        lp.add_constraint(terms, Relation::Le, 5f64.powi(i + 1));
+    }
+    let b = lp.add_var("b", 0.0, 1.0, 1.0);
+    MilpProblem::new(lp, vec![b])
+}
+
+#[test]
+fn pivot_budget_at_the_root_is_a_limit_not_a_proof() {
+    // A node LP that runs out of pivots proves nothing about its subtree:
+    // the search stops as at any other limit and finds no solution, where
+    // pruning the root would report the feasible model infeasible.
+    let milp = klee_minty_with_binary();
+    for threads in [1, 2] {
+        let obs = Obs::enabled();
+        let cfg = MilpConfig {
+            threads,
+            obs: obs.clone(),
+            ..MilpConfig::default()
+        };
+        assert_eq!(
+            milp.solve(&cfg).unwrap_err(),
+            MilpError::NoSolutionFound,
+            "threads={threads}"
+        );
+        assert_eq!(obs.counter("milp.prune.iteration_limit"), 1);
+    }
+}
+
+#[test]
+fn warm_start_under_an_exhausted_pivot_budget_is_feasible_not_optimal() {
+    // The warm start survives as the incumbent, but the root was never
+    // solved: 0 is far from the optimum 5^11 + 1 and must not be reported
+    // as proven.
+    let milp = klee_minty_with_binary();
+    let cfg = MilpConfig {
+        warm_start: Some(vec![0.0; 12]),
+        ..MilpConfig::default()
+    };
+    let sol = milp
+        .solve(&cfg)
+        .expect("the warm start survives the pivot budget");
+    assert_eq!(sol.status, MilpStatus::Feasible);
+    assert_eq!(sol.objective, 0.0);
     assert!(milp.is_integer_feasible(&sol.values, 1e-6));
 }
 
