@@ -1362,7 +1362,10 @@ fn drift_recovery(cluster: &Cluster, comm: &CommModel, quick: bool) {
             incremental_wins,
         });
     }
-    println!("(pinning the healthy ops spends the whole deadline on the drifted region)");
+    println!(
+        "(incr is the stale plan unless its re-solve was strictly faster under the observed \
+         times: compare incr ms with stale ms)"
+    );
     record_json("drift_recovery", &rows);
 }
 
