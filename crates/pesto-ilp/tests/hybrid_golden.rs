@@ -154,6 +154,41 @@ fn all_digests() -> Vec<(String, u64)> {
     let grouped = grouped.freeze().expect("same edges");
     got.extend(solve("transformer colocation", &grouped, &two, |_| {}));
 
+    // A resume from the first mid-run snapshot of the `nasnet 2gpu`
+    // search. The chains run on their own threads, so which iteration
+    // each chain had reached when that snapshot was taken depends on
+    // timing; every chain state in it is a complete iteration boundary,
+    // so the resume ends on the uninterrupted run's plan and final state
+    // all the same. The counters depend on where the snapshot fell and
+    // are not pinned.
+    let seen: Arc<Mutex<Vec<HybridSearchState>>> = Arc::new(Mutex::new(Vec::new()));
+    let sink_seen = seen.clone();
+    let sink = CheckpointSink::new(move |s| sink_seen.lock().unwrap().push(s.clone()));
+    solve("nasnet checkpointed", &nasnet, &two, |c| {
+        c.checkpoint_every = 100;
+        c.checkpoint_sink = Some(sink.clone());
+    });
+    let first = seen
+        .lock()
+        .unwrap()
+        .iter()
+        .find(|s| s.restarts.iter().any(|r| !r.finished))
+        .expect("a mid-run snapshot")
+        .clone();
+    let obs = Obs::enabled();
+    let resumed = HybridSolver::new(HybridConfig {
+        resume_from: Some(first),
+        obs: obs.clone(),
+        ..HybridConfig::quick()
+    })
+    .solve(&nasnet, &two, &CommModel::default_v100())
+    .expect("resume succeeds");
+    got.extend(
+        digests("nasnet 2gpu resumed", &resumed, &obs)
+            .into_iter()
+            .take(2),
+    );
+
     // Incumbent exchange, then a resume from its first mid-run snapshot.
     // Under exchange the chains run in lockstep segments and publish at
     // each boundary; with the checkpoint cadence equal to the segment
@@ -212,6 +247,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("transformer colocation plan", 0xf4a2482bf8c5090d),
     ("transformer colocation state", 0xc45014ddb6dd6653),
     ("transformer colocation counters", 0xb975872e3aeef5ed),
+    ("nasnet 2gpu resumed plan", 0xb675ae5c738f079f),
+    ("nasnet 2gpu resumed state", 0x7c7fa4e6f03e3030),
     ("nasnet exchange plan", 0xb675ae5c738f079f),
     ("nasnet exchange state", 0x6a590008fcf59312),
     ("nasnet exchange counters", 0x2c941c9699143018),
