@@ -20,9 +20,9 @@
 //! its complete state — RNG ([`crate::SearchRng`]), temperature, iteration
 //! counter, current and incumbent placements — into a shared
 //! [`HybridSearchState`], which a [`CheckpointSink`] can persist. Feeding
-//! that state back via [`HybridConfig::resume_from`] (or
-//! [`HybridSolver::resume`]) continues every chain *bit-identically*: a
-//! resumed search reaches the same final plan as the uninterrupted run.
+//! that state back via [`HybridConfig::resume_from`] continues every chain
+//! *bit-identically*: a resumed search reaches the same final plan as the
+//! uninterrupted run.
 
 use crate::error::IlpError;
 use crate::listsched::Evaluator;
@@ -35,6 +35,9 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Initial annealing temperature as a fraction of a chain's starting cost.
+const INITIAL_TEMP_FRAC: f64 = 0.08;
 
 /// Serialized mid-search state of one annealing restart chain: everything
 /// needed to continue the chain bit-identically from `next_iter`.
@@ -118,8 +121,6 @@ pub struct HybridConfig {
     pub restarts: usize,
     /// RNG seed; restart `r` uses `seed + r`.
     pub seed: u64,
-    /// Initial temperature as a fraction of the initial makespan.
-    pub initial_temp_frac: f64,
     /// Constructive placements to seed extra restarts with (e.g. the Baechi
     /// heuristics run on the same graph). Invalid-length seeds are ignored.
     pub initial_placements: Vec<Placement>,
@@ -151,25 +152,6 @@ pub struct HybridConfig {
     /// fresh. Overrides `restarts`/`iterations`/`seed` with the state's
     /// own values so every chain resumes bit-identically.
     pub resume_from: Option<HybridSearchState>,
-    /// Per-op freeze mask for incremental re-solves: a move unit containing
-    /// any pinned op is never proposed as a move, so those ops keep
-    /// whatever placement they were seeded with. `None` means everything
-    /// is movable.
-    pub pinned: Option<Vec<bool>>,
-    /// Incumbent-exchange cadence between the parallel restart chains, in
-    /// iterations. `0` (the default) keeps every chain fully independent —
-    /// the historical behavior, whose trajectories existing checkpoints
-    /// and goldens expect. A positive value runs the chains in lockstep
-    /// segments of this many iterations: at every segment boundary the
-    /// globally best incumbent (ties broken toward the lower restart
-    /// index) replaces the current and best placement of each lagging
-    /// chain, island-migration style. Exchange points are deterministic
-    /// iteration boundaries and each chain keeps its own RNG, so a given
-    /// configuration stays bit-reproducible, and checkpoints taken under
-    /// exchange resume bit-identically **provided the resuming config uses
-    /// the same `exchange_every`** (the cadence itself is not stored in
-    /// [`HybridSearchState`]).
-    pub exchange_every: usize,
     /// Telemetry sink. An enabled handle receives a `hybrid.solve` span,
     /// one `hybrid.restart` span per restart, and sampled `anneal` solver
     /// events (temperature, accept rate, best cost); the default disabled
@@ -183,7 +165,6 @@ impl Default for HybridConfig {
             iterations: 2500,
             restarts: 2,
             seed: 0x9e37,
-            initial_temp_frac: 0.08,
             initial_placements: Vec::new(),
             infinite_links: false,
             deadline: None,
@@ -191,8 +172,6 @@ impl Default for HybridConfig {
             checkpoint_every: 0,
             checkpoint_sink: None,
             resume_from: None,
-            pinned: None,
-            exchange_every: 0,
             obs: Obs::disabled(),
         }
     }
@@ -257,33 +236,13 @@ impl HybridSolver {
         HybridSolver { config }
     }
 
-    /// Continues a checkpointed search: equivalent to `solve` with
-    /// [`HybridConfig::resume_from`] set to `state`.
-    ///
-    /// # Errors
-    ///
-    /// [`IlpError::Unsupported`] if `state` does not match the graph
-    /// (wrong placement sizes, no restarts), plus everything `solve`
-    /// returns.
-    pub fn resume(
-        &self,
-        graph: &FrozenGraph,
-        cluster: &Cluster,
-        comm: &CommModel,
-        state: HybridSearchState,
-    ) -> Result<HybridOutcome, IlpError> {
-        let mut solver = self.clone();
-        solver.config.resume_from = Some(state);
-        solver.solve(graph, cluster, comm)
-    }
-
     /// Runs the search.
     ///
     /// # Errors
     ///
     /// Returns [`IlpError::Unsupported`] for a graph without GPU ops on a
-    /// cluster without GPUs (nothing to place) or a mismatched
-    /// resume/pinned configuration, and propagates simulator errors for
+    /// cluster without GPUs (nothing to place) or a resume state that
+    /// does not match the graph, and propagates simulator errors for
     /// plans that cannot be evaluated at all.
     pub fn solve(
         &self,
@@ -319,27 +278,6 @@ impl HybridSolver {
         let mut grouped: Vec<(u32, Vec<OpId>)> = groups.into_iter().collect();
         grouped.sort_by_key(|(gid, _)| *gid); // determinism
         units.extend(grouped.into_iter().map(|(_, ops)| ops));
-
-        // Units containing a pinned op are frozen: only `movable` unit
-        // indices are ever proposed as moves.
-        let movable: Vec<usize> = match &self.config.pinned {
-            Some(mask) => {
-                if mask.len() != graph.op_count() {
-                    return Err(IlpError::Unsupported(format!(
-                        "pinned mask has {} entries for a {}-op graph",
-                        mask.len(),
-                        graph.op_count()
-                    )));
-                }
-                units
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, unit)| unit.iter().all(|&id| !mask[id.index()]))
-                    .map(|(i, _)| i)
-                    .collect()
-            }
-            None => (0..units.len()).collect(),
-        };
 
         // A resume overrides the knobs that define chain trajectories.
         let mut config = self.config.clone();
@@ -405,161 +343,48 @@ impl HybridSolver {
 
         let eval = Evaluator::new(graph, cluster, *comm, config.infinite_links);
 
-        // Segment length of the lockstep driver. With exchange off (or a
-        // single chain) the whole search is one segment, so each chain runs
-        // in a single `anneal_once` call — exactly the historical
-        // trajectory.
-        let seg = if config.exchange_every > 0 && restarts >= 2 {
-            config.exchange_every
-        } else {
-            steps
-        };
-
-        // Driver: run every chain to the next segment boundary, join,
-        // exchange incumbents, repeat. Chain state between rounds lives in
-        // `round_states` (RestartState is the complete chain state, so a
-        // round is just a resume); exchange mutates those states at
-        // deterministic iteration boundaries, which keeps the search
-        // bit-reproducible and checkpoint/resume-safe: injection is
-        // idempotent, so resuming either the pre- or post-exchange boundary
-        // snapshot replays identically.
-        let mut outcomes: Vec<Option<ChainOutcome>> = (0..restarts).map(|_| None).collect();
-        let mut round_states: Vec<Option<RestartState>> = match resume_states {
-            Some(states) => states.iter().map(|s| Some(s.clone())).collect(),
-            None => (0..restarts).map(|_| None).collect(),
-        };
-        loop {
-            // Chains that still need to run: never invoked (even a chain
-            // resumed as finished runs once, to produce its outcome plan),
-            // or mid-search.
-            let running: Vec<usize> = (0..restarts)
-                .filter(|&i| match (&outcomes[i], &round_states[i]) {
-                    (Some(Err(_)), _) => false,
-                    (None, _) => true,
-                    (_, Some(st)) => !st.finished && !st.truncated && st.next_iter < steps,
-                    (_, None) => true,
-                })
-                .collect();
-            if running.is_empty() {
-                break;
-            }
-
-            // Incumbent exchange: fires when every running chain sits at
-            // the same positive mid-search segment boundary.
-            if seg < steps {
-                let boundary = running
-                    .iter()
-                    .map(|&i| round_states[i].as_ref().map(|st| st.next_iter))
-                    .reduce(|a, b| if a == b { a } else { None })
-                    .flatten()
-                    .filter(|&n| n > 0 && n < steps && n % seg == 0);
-                if boundary.is_some() {
-                    let global_best = round_states
-                        .iter()
-                        .flatten()
-                        .min_by(|a, b| {
-                            a.best_cost
-                                .total_cmp(&b.best_cost)
-                                .then_with(|| a.restart.cmp(&b.restart))
-                        })
-                        .map(|r| (r.best_placement.clone(), r.best_cost));
-                    if let Some((gb_placement, gb_cost)) = global_best {
-                        let mut migrated = 0u64;
-                        for &i in &running {
-                            let st = round_states[i].as_mut().expect("boundary state");
-                            if st.best_cost > gb_cost {
-                                st.placement = gb_placement.clone();
-                                st.best_placement = gb_placement.clone();
-                                st.best_cost = gb_cost;
-                                migrated += 1;
-                            }
-                        }
-                        config.obs.counter_add("hybrid.exchanges", 1);
-                        config
-                            .obs
-                            .counter_add("hybrid.exchange.migrations", migrated);
-                        config.obs.solver_event(
-                            "hybrid",
-                            SolverEventKind::Incumbent { objective: gb_cost },
-                        );
-                        // Mirror the post-exchange states into the snapshot
-                        // slots so a crash here resumes past the exchange.
-                        {
-                            let mut guard = slots.lock();
-                            for &i in &running {
-                                guard[i] = round_states[i].clone();
-                            }
-                        }
-                        publish_impl();
-                    }
-                }
-            }
-
-            // Next lockstep boundary past the least-advanced running chain.
-            // Chains already at it run zero iterations (state untouched).
-            let target = {
-                let m = running
-                    .iter()
-                    .map(|&i| round_states[i].as_ref().map_or(0, |st| st.next_iter))
-                    .min()
-                    .expect("running is non-empty");
-                ((m / seg) + 1).saturating_mul(seg).min(steps)
-            };
-
-            let round: Vec<ChainOutcome> = std::thread::scope(|scope| {
-                let round_states = &round_states;
-                let mut handles = Vec::new();
-                for &slot_idx in &running {
-                    let eval = &eval;
-                    let units = &units;
-                    let movable = &movable;
-                    let slots = &slots;
-                    let resume = round_states[slot_idx].as_ref();
+        // One scoped thread per restart chain, each annealing to its last
+        // iteration.
+        let results: Vec<ChainOutcome> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..restarts)
+                .map(|slot_idx| {
+                    let resume = resume_states.map(|states| &states[slot_idx]);
                     let seed_placement = if resume.is_some() {
                         None
                     } else {
                         seeds.get(slot_idx).copied()
                     };
-                    let first_unseeded = resume.is_none() && slot_idx == seeds.len();
-                    handles.push(scope.spawn(move || {
-                        anneal_once(AnnealTask {
-                            graph,
-                            cluster,
-                            eval,
-                            units,
-                            movable,
-                            config,
-                            slot_idx,
-                            resume,
-                            seed_placement,
-                            first_unseeded,
-                            end: target,
-                            slots,
-                            publish,
-                        })
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("restart panicked"))
-                    .collect()
-            });
+                    let task = AnnealTask {
+                        graph,
+                        cluster,
+                        eval: &eval,
+                        units: &units,
+                        config,
+                        slot_idx,
+                        resume,
+                        seed_placement,
+                        first_unseeded: resume.is_none() && slot_idx == seeds.len(),
+                        slots: &slots,
+                        publish,
+                    };
+                    scope.spawn(move || anneal_once(task))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("restart panicked"))
+                .collect()
+        });
 
-            // Cancellation wins over any chains that happened to finish:
-            // the caller abandoned the job, so no terminal snapshot is
-            // published, no plan is returned, and no further segments run.
-            if round.iter().any(|r| matches!(r, Err(IlpError::Cancelled))) {
-                return Err(IlpError::Cancelled);
-            }
-            for (res, &slot_idx) in round.into_iter().zip(&running) {
-                outcomes[slot_idx] = Some(res);
-                round_states[slot_idx] = slots.lock()[slot_idx].clone();
-            }
+        // Cancellation wins over any chains that happened to finish: the
+        // caller abandoned the job, so no terminal snapshot is published
+        // and no plan is returned.
+        if results
+            .iter()
+            .any(|r| matches!(r, Err(IlpError::Cancelled)))
+        {
+            return Err(IlpError::Cancelled);
         }
-        let results: Vec<ChainOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("every chain ran at least once"))
-            .collect();
 
         let mut best: Option<(Placement, f64)> = None;
         let mut last_err = None;
@@ -611,16 +436,11 @@ struct AnnealTask<'a> {
     cluster: &'a Cluster,
     eval: &'a Evaluator<'a>,
     units: &'a [Vec<OpId>],
-    movable: &'a [usize],
     config: &'a HybridConfig,
     slot_idx: usize,
     resume: Option<&'a RestartState>,
     seed_placement: Option<&'a Placement>,
     first_unseeded: bool,
-    /// Absolute iteration this invocation runs to (exclusive); the
-    /// lockstep-exchange driver passes segment boundaries, and a plain
-    /// search passes `iterations` so the whole chain runs in one call.
-    end: usize,
     slots: &'a RobustMutex<Vec<Option<RestartState>>>,
     publish: &'a (dyn Fn() + Sync),
 }
@@ -631,13 +451,11 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
         cluster,
         eval,
         units,
-        movable,
         config,
         slot_idx,
         resume,
         seed_placement,
         first_unseeded,
-        end,
         slots,
         publish,
     } = task;
@@ -653,15 +471,13 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
     // Initial placement: a resumed chain continues from its saved state;
     // seeded restarts use the provided constructive placement; the first
     // unseeded restart splits by contiguous topological halves
-    // (Expert-like); the rest start randomly balanced. Under a pinned
-    // mask, unseeded restarts keep frozen units at the first seed's
-    // placement and randomize only the movable units.
+    // (Expert-like); the rest start randomly balanced.
     let mut placement = Placement::affinity_default(graph, cluster);
     if let Some(r) = resume {
         placement = r.placement.clone();
     } else if let Some(seed) = seed_placement {
         placement = seed.clone();
-    } else if first_unseeded && !gpu_ops.is_empty() && config.pinned.is_none() {
+    } else if first_unseeded && !gpu_ops.is_empty() {
         let mut order: Vec<OpId> = graph
             .topo_order()
             .iter()
@@ -680,18 +496,9 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
             }
         }
     } else {
-        if config.pinned.is_some() {
-            if let Some(base) = config
-                .initial_placements
-                .iter()
-                .find(|p| p.op_count() == graph.op_count())
-            {
-                placement = base.clone();
-            }
-        }
-        for &ui in movable {
+        for unit in units {
             let g = gpus[rng.gen_range(0..gpus.len())];
-            for &id in &units[ui] {
+            for &id in unit {
                 placement.set_device(id, g);
             }
         }
@@ -730,9 +537,8 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
     let mut truncated = false;
 
     let steps = config.iterations.max(1);
-    let end = end.min(steps);
-    let start_iter = resume.map_or(0, |r| r.next_iter.min(end));
-    let t0 = resume.map_or_else(|| (cur_cost * config.initial_temp_frac).max(1e-6), |r| r.t0);
+    let start_iter = resume.map_or(0, |r| r.next_iter.min(steps));
+    let t0 = resume.map_or_else(|| (cur_cost * INITIAL_TEMP_FRAC).max(1e-6), |r| r.t0);
     let t_end = t0 / 1000.0;
     let cooling = (t_end / t0).powf(1.0 / steps as f64);
     let mut temp = resume.map_or(t0, |r| r.temp);
@@ -761,7 +567,7 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
         });
     };
 
-    if gpu_ops.is_empty() || gpus.len() < 2 || movable.is_empty() {
+    if gpu_ops.is_empty() || gpus.len() < 2 {
         save(&rng, steps, temp, &placement, &best, true, false);
         obs.counter_add("hybrid.evaluations", evaluations);
         return Ok((best.0, best.1, truncated)); // nothing to search
@@ -780,7 +586,7 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
     let sample_every = (steps / 64).max(1);
     let mut window_accepts = 0usize;
 
-    for it in start_iter..end {
+    for it in start_iter..steps {
         // Checkpoint cadence on absolute iteration numbers, so a resumed
         // chain keeps the same snapshot boundaries as the original run.
         if config.checkpoint_every > 0 && it > start_iter && it % config.checkpoint_every == 0 {
@@ -803,8 +609,7 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
         // Move: flip one GPU op to a different GPU, or (25%) swap two ops.
         // Half of the single flips target *boundary* ops (ops with at least
         // one cross-device edge), where placement changes actually move the
-        // communication structure. Only movable units are ever proposed.
-        // A swap of two units on one device proposes the current placement
+        // communication structure. A swap of two units on one device proposes the current placement
         // again; it is scored as `cur_cost`, which is the evaluator's cost
         // of the current placement, and goes through the same accept rule
         // and RNG draws as any candidate.
@@ -815,9 +620,9 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
                 cand.set_device(id, dev);
             }
         };
-        if movable.len() >= 2 && rng.gen_bool(0.25) {
-            let a = &units[movable[rng.gen_range(0..movable.len())]];
-            let b = &units[movable[rng.gen_range(0..movable.len())]];
+        if units.len() >= 2 && rng.gen_bool(0.25) {
+            let a = &units[rng.gen_range(0..units.len())];
+            let b = &units[rng.gen_range(0..units.len())];
             let (da, db) = (cand.device(a[0]), cand.device(b[0]));
             unchanged = da == db;
             move_unit(&mut cand, a, db);
@@ -831,7 +636,7 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
                         || graph.preds(o).iter().any(|&p| cand.device(p) != d)
                 })
             };
-            let mut u = movable[rng.gen_range(0..movable.len())];
+            let mut u = rng.gen_range(0..units.len());
             if pick_boundary {
                 // Rejection-sample a boundary unit with a bounded number of
                 // tries (cheap; boundary units are common after warm-up).
@@ -839,7 +644,7 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
                     if is_boundary(&units[u], &cand) {
                         break;
                     }
-                    u = movable[rng.gen_range(0..movable.len())];
+                    u = rng.gen_range(0..units.len());
                 }
             }
             let unit = &units[u];
@@ -885,7 +690,7 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
         }
     }
     if !truncated {
-        save(&rng, end, temp, &placement, &best, end >= steps, false);
+        save(&rng, steps, temp, &placement, &best, true, false);
     }
     obs.counter_add("hybrid.evaluations", evaluations);
     obs.counter_add("hybrid.accepted", accepted);
@@ -1286,9 +1091,12 @@ mod tests {
             .find(|s| s.restarts.iter().any(|r| !r.finished))
             .expect("cadence fired before completion")
             .clone();
-        let resumed = HybridSolver::new(HybridConfig::quick())
-            .resume(&g, &cluster, &comm(), mid)
-            .unwrap();
+        let resumed = HybridSolver::new(HybridConfig {
+            resume_from: Some(mid),
+            ..HybridConfig::quick()
+        })
+        .solve(&g, &cluster, &comm())
+        .unwrap();
         assert_eq!(resumed.plan, full.plan, "resume must be bit-identical");
         assert!((resumed.makespan_us - full.makespan_us).abs() < 1e-12);
     }
@@ -1302,9 +1110,12 @@ mod tests {
             .unwrap();
         let state = out.search_state.clone().unwrap();
         let (_, inc_cost) = state.incumbent().unwrap();
-        let resumed = HybridSolver::new(HybridConfig::quick())
-            .resume(&g, &cluster, &comm(), state)
-            .unwrap();
+        let resumed = HybridSolver::new(HybridConfig {
+            resume_from: Some(state),
+            ..HybridConfig::quick()
+        })
+        .solve(&g, &cluster, &comm())
+        .unwrap();
         let resumed_cost = resumed.search_state.unwrap().incumbent().unwrap().1;
         assert!(resumed_cost <= inc_cost + 1e-12);
     }
@@ -1319,150 +1130,40 @@ mod tests {
             .unwrap()
             .search_state
             .unwrap();
-        let err = HybridSolver::new(HybridConfig::quick())
-            .resume(&g_big, &cluster, &comm(), state)
-            .unwrap_err();
+        let err = HybridSolver::new(HybridConfig {
+            resume_from: Some(state),
+            ..HybridConfig::quick()
+        })
+        .solve(&g_big, &cluster, &comm())
+        .unwrap_err();
         assert!(matches!(err, IlpError::Unsupported(_)));
     }
 
     #[test]
-    fn pinned_units_keep_their_seeded_placement() {
-        // 8 independent heavy ops all seeded onto GPU 0, the first 4
-        // pinned there: the search may only spread the unpinned half.
-        let mut g = OpGraph::new("pinned");
-        let ids: Vec<OpId> = (0..8)
-            .map(|i| g.add_op(format!("op{i}"), DeviceKind::Gpu, 100.0, 16))
-            .collect();
-        let g = g.freeze().unwrap();
-        let cluster = Cluster::two_gpus();
-        let gpu0 = cluster.gpus()[0];
-        let mut seed = Placement::affinity_default(&g, &cluster);
-        for &id in &ids {
-            seed.set_device(id, gpu0);
-        }
-        let mut pinned = vec![false; g.op_count()];
-        for &id in &ids[..4] {
-            pinned[id.index()] = true;
-        }
-        let cfg = HybridConfig {
-            initial_placements: vec![seed],
-            pinned: Some(pinned),
-            restarts: 2,
-            ..HybridConfig::quick()
-        };
-        let out = HybridSolver::new(cfg).solve(&g, &cluster, &comm()).unwrap();
-        for &id in &ids[..4] {
-            assert_eq!(out.plan.placement.device(id), gpu0, "pinned op moved");
-        }
-        // The movable half migrates off the pinned GPU: 4 ops stay (400)
-        // and 4 move (400) — optimal under the pin is 400.
-        assert!(
-            (out.makespan_us - 400.0).abs() < 1e-6,
-            "got {}",
-            out.makespan_us
-        );
-    }
-
-    #[test]
-    fn exchange_off_matches_legacy_trajectory() {
-        // `exchange_every: 0` must be byte-for-byte the historical search,
-        // and a cadence longer than the whole search never fires an
-        // exchange, so it must match too.
-        let g = search_graph(12);
-        let cluster = Cluster::two_gpus();
-        let legacy = HybridSolver::new(HybridConfig::quick())
-            .solve(&g, &cluster, &comm())
-            .unwrap();
-        let long_cadence = HybridSolver::new(HybridConfig {
-            exchange_every: 10_000,
-            ..HybridConfig::quick()
-        })
-        .solve(&g, &cluster, &comm())
-        .unwrap();
-        assert_eq!(legacy.plan, long_cadence.plan);
-        assert_eq!(
-            legacy.search_state.unwrap(),
-            long_cadence.search_state.unwrap()
-        );
-    }
-
-    #[test]
-    fn exchange_is_deterministic_and_shares_the_incumbent() {
-        let g = search_graph(12);
-        let cluster = Cluster::two_gpus();
-        let obs = Obs::enabled();
-        let cfg = HybridConfig {
-            exchange_every: 100,
-            obs: obs.clone(),
-            ..HybridConfig::quick() // 400 iterations, 2 restarts
-        };
-        let a = HybridSolver::new(cfg.clone())
-            .solve(&g, &cluster, &comm())
-            .unwrap();
-        // 400 iterations / cadence 100 ⇒ boundaries at 100, 200, 300.
-        assert_eq!(obs.counter("hybrid.exchanges"), 3);
-        let b = HybridSolver::new(HybridConfig {
-            obs: Obs::disabled(),
-            ..cfg
-        })
-        .solve(&g, &cluster, &comm())
-        .unwrap();
-        assert_eq!(a.plan, b.plan, "exchange must stay deterministic");
-        assert_eq!(a.search_state, b.search_state);
-        // After the final exchange every chain's incumbent cost is within
-        // one segment of the global best: chains that lagged at the last
-        // boundary were injected with it and can only have improved since.
-        let state = a.search_state.unwrap();
-        let best = state.incumbent().unwrap().1;
-        let worst = state
-            .restarts
-            .iter()
-            .map(|r| r.best_cost)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let unshared = HybridSolver::new(HybridConfig::quick())
-            .solve(&g, &cluster, &comm())
-            .unwrap();
-        let unshared_best = unshared.search_state.unwrap().incumbent().unwrap().1;
-        assert!(
-            best <= unshared_best + 1e-9,
-            "sharing incumbents must not lose quality: {best} vs {unshared_best}"
-        );
-        assert!(worst.is_finite());
-    }
-
-    #[test]
-    fn resume_with_exchange_on_matches_uninterrupted_run() {
-        // The checkpoint/resume contract must survive incumbent exchange:
-        // a mid-run snapshot (whose chains sit at assorted iterations
-        // inside a segment) replays to the same final state, because
-        // exchange points are absolute iteration boundaries and injection
-        // is idempotent.
+    fn resume_from_every_published_snapshot_matches_uninterrupted_run() {
+        // Each chain saves its own state at every cadence boundary, so a
+        // published snapshot holds chains at assorted iterations; each of
+        // them, through the terminal one, replays to the same final plan.
         let g = search_graph(12);
         let cluster = Cluster::two_gpus();
         let seen: Arc<RobustMutex<Vec<HybridSearchState>>> = Arc::new(RobustMutex::new(Vec::new()));
         let sink_seen = seen.clone();
         let cfg = HybridConfig {
-            exchange_every: 100,
-            checkpoint_every: 30, // deliberately not aligned with exchanges
+            checkpoint_every: 30,
             checkpoint_sink: Some(CheckpointSink::new(move |s| {
                 sink_seen.lock().push(s.clone())
             })),
             ..HybridConfig::quick()
         };
-        let full = HybridSolver::new(cfg.clone())
-            .solve(&g, &cluster, &comm())
-            .unwrap();
+        let full = HybridSolver::new(cfg).solve(&g, &cluster, &comm()).unwrap();
         let states = seen.lock().clone();
         assert!(states.len() > 2, "cadence snapshots were published");
-        // Replay every published snapshot — mid-segment, at boundaries
-        // (pre- and post-exchange), and terminal — through a resuming
-        // config with the same cadence.
-        for (i, mid) in states.iter().enumerate() {
+        for (i, mid) in states.into_iter().enumerate() {
             let resumed = HybridSolver::new(HybridConfig {
-                exchange_every: 100,
+                resume_from: Some(mid),
                 ..HybridConfig::quick()
             })
-            .resume(&g, &cluster, &comm(), mid.clone())
+            .solve(&g, &cluster, &comm())
             .unwrap();
             assert_eq!(
                 resumed.plan, full.plan,
@@ -1470,19 +1171,5 @@ mod tests {
             );
             assert!((resumed.makespan_us - full.makespan_us).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn wrong_sized_pinned_mask_is_a_typed_error() {
-        let g = search_graph(6);
-        let cluster = Cluster::two_gpus();
-        let cfg = HybridConfig {
-            pinned: Some(vec![false; 3]),
-            ..HybridConfig::quick()
-        };
-        let err = HybridSolver::new(cfg)
-            .solve(&g, &cluster, &comm())
-            .unwrap_err();
-        assert!(matches!(err, IlpError::Unsupported(_)));
     }
 }

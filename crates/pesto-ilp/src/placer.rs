@@ -154,14 +154,13 @@ impl PestoPlacer {
 
         // Hybrid always runs: it is the fallback and the warm start. The
         // exact path swaps in the quick profile but must keep the
-        // crash-safety fields (checkpoint cadence/sink, resume state,
-        // pins) the caller configured.
+        // crash-safety fields (checkpoint cadence/sink, resume state) the
+        // caller configured.
         let mut hybrid_cfg = if use_exact {
             HybridConfig {
                 checkpoint_every: self.config.hybrid.checkpoint_every,
                 checkpoint_sink: self.config.hybrid.checkpoint_sink.clone(),
                 resume_from: self.config.hybrid.resume_from.clone(),
-                pinned: self.config.hybrid.pinned.clone(),
                 initial_placements: self.config.hybrid.initial_placements.clone(),
                 cancel: self.config.hybrid.cancel.clone(),
                 ..HybridConfig::quick()

@@ -80,9 +80,10 @@ proptest! {
         // boundary must match the uninterrupted run exactly.
         let resumed = HybridSolver::new(HybridConfig {
             seed,
+            resume_from: Some(loaded.hybrid.unwrap()),
             ..HybridConfig::quick()
         })
-        .resume(&graph, &cluster, &comm(), loaded.hybrid.unwrap())
+        .solve(&graph, &cluster, &comm())
         .unwrap();
         prop_assert_eq!(
             &resumed.plan,
