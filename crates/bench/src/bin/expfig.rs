@@ -9,9 +9,9 @@
 //! `kill-resume` truncates a checkpointed placement run at its deadline,
 //! resumes it from the checkpoint file, and compares against a cold
 //! restart given the same total budget. `drift-recovery` slows the
-//! hottest ops past the profile's dispersion threshold and compares an
-//! incremental re-solve (healthy ops pinned) against a from-scratch
-//! re-solve under the same deadline.
+//! hottest ops past the profile's dispersion threshold, checks that the
+//! drift detector flags them, and compares the stale plan under the
+//! observed times against a from-scratch re-solve under a deadline.
 //!
 //! `gap` prints the branch-and-bound gap-over-time column set per warm-up
 //! strategy (cold vs. hybrid-warm-started), from the telemetry event
@@ -1230,19 +1230,16 @@ fn kill_resume(cluster: &Cluster, comm: &CommModel, quick: bool) {
 
 /// Drift-recovery experiment (beyond the paper): the hottest GPU ops run
 /// 2.5x slower than their fitted profile (contention, thermal
-/// throttling), the drift detector flags them, and the incremental
-/// re-solve — every healthy op pinned, search warm-started from the
-/// running plan — races a from-scratch re-solve under the same deadline.
-/// A `slowdown` of 1.0 is the control: clean observations must flag
-/// nothing and leave the plan alone.
+/// throttling), the drift detector flags them, and the running plan,
+/// simulated under the observed times, races a from-scratch re-solve of
+/// the observed graph under a deadline. A `slowdown` of 1.0 is the
+/// control: clean observations must flag nothing.
 fn drift_recovery(cluster: &Cluster, comm: &CommModel, quick: bool) {
-    use pesto::cost::DriftConfig;
+    use pesto::cost::{detect_drift, DriftConfig};
     use pesto::graph::DeviceKind;
     use pesto::ilp::{HybridConfig, HybridSolver};
-    use pesto::obs::Obs;
-    use pesto::replace_after_drift;
 
-    println!("\n== drift-recovery: incremental re-solve vs from-scratch under one deadline ==");
+    println!("\n== drift-recovery: drift detection, stale plan vs from-scratch re-solve ==");
     let spec = if quick {
         ModelSpec::nmt(2, 256)
     } else {
@@ -1263,12 +1260,6 @@ fn drift_recovery(cluster: &Cluster, comm: &CommModel, quick: bool) {
     } else {
         Duration::from_secs(1)
     };
-    let search = |deadline: Instant| HybridConfig {
-        iterations: 2_000_000,
-        restarts: 2,
-        deadline: Some(deadline),
-        ..HybridConfig::default()
-    };
 
     #[derive(Serialize)]
     struct Row {
@@ -1277,14 +1268,12 @@ fn drift_recovery(cluster: &Cluster, comm: &CommModel, quick: bool) {
         max_drift_frac: f64,
         budget_ms: f64,
         stale_ms: f64,
-        incremental_ms: f64,
         scratch_ms: Option<f64>,
-        incremental_wins: bool,
     }
     let mut rows: Vec<Row> = Vec::new();
     println!(
-        "{:<9} {:>8} {:>10} {:>10} {:>10} {:>8}",
-        "slowdown", "flagged", "stale ms", "incr ms", "scratch ms", "winner"
+        "{:<9} {:>8} {:>10} {:>10}",
+        "slowdown", "flagged", "stale ms", "scratch ms"
     );
     for slowdown in [1.0f64, 2.5] {
         // Reality shifts: the heaviest GPU ops now run `slowdown` times
@@ -1315,56 +1304,47 @@ fn drift_recovery(cluster: &Cluster, comm: &CommModel, quick: bool) {
             .op_ids()
             .map(|id| Some(observed.op(id).compute_us()))
             .collect();
-        let inc = match replace_after_drift(
-            &graph,
-            &expected,
-            &observed_us,
-            cluster,
-            *comm,
-            &outcome.plan,
-            &DriftConfig::default(),
-            search(Instant::now() + budget),
-            &Obs::disabled(),
-        ) {
-            Ok(r) => r,
+        let report = detect_drift(&expected, &observed_us, &DriftConfig::default());
+        let stale_ms = match Simulator::new(&observed, cluster, *comm).run(&outcome.plan) {
+            Ok(r) => r.makespan_us / 1e3,
             Err(e) => {
-                println!("{slowdown:<9} incremental re-solve failed: {e}");
+                println!("{slowdown:<9} stale plan failed to simulate: {e}");
                 continue;
             }
         };
-        // The competitor: forget the running plan, re-solve the observed
-        // graph from nothing under the very same deadline.
-        let scratch_ms = HybridSolver::new(search(Instant::now() + budget))
-            .solve(&observed, cluster, comm)
-            .ok()
-            .and_then(|o| Simulator::new(&observed, cluster, *comm).run(&o.plan).ok())
-            .map(|r| r.makespan_us / 1e3);
+        // Forget the running plan and re-solve the observed graph from
+        // nothing under the deadline.
+        let scratch_ms = HybridSolver::new(HybridConfig {
+            iterations: 2_000_000,
+            restarts: 2,
+            deadline: Some(Instant::now() + budget),
+            ..HybridConfig::default()
+        })
+        .solve(&observed, cluster, comm)
+        .ok()
+        .and_then(|o| Simulator::new(&observed, cluster, *comm).run(&o.plan).ok())
+        .map(|r| r.makespan_us / 1e3);
 
-        let incremental_ms = inc.makespan_us / 1e3;
-        let incremental_wins = scratch_ms.is_none_or(|s| incremental_ms <= s);
         println!(
-            "{:<9} {:>8} {:>10.1} {:>10.1} {:>10} {:>8}",
+            "{:<9} {:>8} {:>10.1} {:>10}",
             slowdown,
-            inc.report.drifted.len(),
-            inc.old_makespan_us / 1e3,
-            incremental_ms,
+            report.drifted.len(),
+            stale_ms,
             scratch_ms.map_or("-".into(), |s| format!("{s:.1}")),
-            if incremental_wins { "incr" } else { "scratch" },
         );
         rows.push(Row {
             slowdown,
-            drifted_ops: inc.report.drifted.len(),
-            max_drift_frac: inc.report.max_drift_frac,
+            drifted_ops: report.drifted.len(),
+            max_drift_frac: report.max_drift_frac,
             budget_ms: budget.as_secs_f64() * 1e3,
-            stale_ms: inc.old_makespan_us / 1e3,
-            incremental_ms,
+            stale_ms,
             scratch_ms,
-            incremental_wins,
         });
     }
     println!(
-        "(incr is the stale plan unless its re-solve was strictly faster under the observed \
-         times: compare incr ms with stale ms)"
+        "(stale ms: the running plan under the observed times; scratch ms: a from-scratch \
+         re-solve of the observed graph under a {} ms deadline)",
+        budget.as_millis()
     );
     record_json("drift_recovery", &rows);
 }

@@ -9,8 +9,7 @@
 //! that dispersion model into a *test*: an observation is ordinary
 //! profiling noise if its relative deviation stays within a few σ of the
 //! expectation, and evidence of real drift (contention, thermal
-//! throttling, a changed kernel) beyond that. Flagged ops are what the
-//! incremental re-placement in `pesto::robust` unfreezes.
+//! throttling, a changed kernel) beyond that.
 
 use serde::{Deserialize, Serialize};
 

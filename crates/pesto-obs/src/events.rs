@@ -53,28 +53,17 @@ pub enum SolverEventKind {
         /// microseconds (0 when the budget was already exhausted).
         remaining_deadline_us: f64,
     },
-    /// Observed per-op compute times drifted from the fitted profile far
-    /// enough to trigger (or justify) re-placement.
-    Drift {
-        /// Number of ops whose drift exceeded the dispersion threshold.
-        ops_flagged: u64,
-        /// Largest relative drift `|observed - expected| / expected` seen.
-        max_drift_frac: f64,
-        /// The relative-drift threshold the flagged ops exceeded.
-        threshold_frac: f64,
-    },
 }
 
 impl SolverEventKind {
     /// Short machine-readable tag for exporters (`"incumbent"`, `"gap"`,
-    /// `"anneal"`, `"degradation"`, `"drift"`).
+    /// `"anneal"`, `"degradation"`).
     pub fn tag(&self) -> &'static str {
         match self {
             SolverEventKind::Incumbent { .. } => "incumbent",
             SolverEventKind::Gap { .. } => "gap",
             SolverEventKind::Anneal { .. } => "anneal",
             SolverEventKind::Degradation { .. } => "degradation",
-            SolverEventKind::Drift { .. } => "drift",
         }
     }
 }

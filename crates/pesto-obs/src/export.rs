@@ -226,16 +226,6 @@ impl SolverEvent {
                 json_escape(reason),
                 JsonF64(*remaining_deadline_us),
             ),
-            SolverEventKind::Drift {
-                ops_flagged,
-                max_drift_frac,
-                threshold_frac,
-            } => write!(
-                out,
-                ",\"ops_flagged\":{ops_flagged},\"max_drift_frac\":{},\"threshold_frac\":{}",
-                JsonF64(*max_drift_frac),
-                JsonF64(*threshold_frac),
-            ),
         };
         out.push('}');
     }

@@ -78,8 +78,8 @@ pub use eval::{
 pub use pesto_obs::CancelToken;
 pub use pipeline::{DegradationReason, Pesto, PestoConfig, PestoError, PestoOutcome, StageTiming};
 pub use robust::{
-    evaluate_robustness, repair_after_outage, replace_after_drift, DriftReplaceOutcome,
-    RepairOutcome, RobustnessConfig, RobustnessReport, ROBUSTNESS_SCHEMA_VERSION,
+    evaluate_robustness, repair_after_outage, RepairOutcome, RobustnessConfig, RobustnessReport,
+    ROBUSTNESS_SCHEMA_VERSION,
 };
 pub use storage::{ChaosPlan, ChaosStorage, FsStorage, Storage};
 

@@ -388,10 +388,9 @@ pub struct PestoOutcome {
     /// `None` when `pipeline_steps <= 1`.
     pub pipeline: Option<PipelineStats>,
     /// Per-op mean observed compute times from the pipelined run's spans
-    /// (`None` entries for ops with no measurement) — ready to feed
-    /// [`crate::replace_after_drift`], closing the
-    /// observe→detect→re-place loop without hand-built vectors. `None`
-    /// as a whole when `pipeline_steps <= 1`.
+    /// (`None` entries for ops with no measurement), ready to feed
+    /// [`detect_drift`](pesto_cost::detect_drift) without hand-built
+    /// vectors. `None` as a whole when `pipeline_steps <= 1`.
     pub observed_op_us: Option<Vec<Option<f64>>>,
     /// Per-stage wall time of this run, in execution order. Populated on
     /// every run — including degraded ones, which skip the search stages —

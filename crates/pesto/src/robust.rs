@@ -16,21 +16,17 @@
 //!    given a time budget — by bounded local search over the stranded
 //!    ops and their neighbors), and re-derives an ETF schedule on the
 //!    surviving cluster.
-//! 3. **Is its profile still true?** [`replace_after_drift`] compares
-//!    observed per-op times against the fitted profile
-//!    ([`detect_drift`][pesto_cost::detect_drift]) and, when ops have
-//!    drifted past their dispersion threshold, re-solves incrementally:
-//!    every *non*-drifted group is pinned, so the search warm-started
-//!    from the current placement only reconsiders what actually changed.
+//!
+//! Whether a plan's profile is still true is a third question, answered
+//! by [`detect_drift`][pesto_cost::detect_drift] on the observed per-op
+//! times ([`pesto_sim::SimReport::observed_op_us`]).
 
 use crate::pipeline::PestoError;
-use pesto_cost::{detect_drift, CommModel, DriftConfig, DriftReport};
+use pesto_cost::CommModel;
 use pesto_graph::{Cluster, DeviceId, DeviceKind, LinkType, OpId, Placement, Plan};
-use pesto_ilp::{Evaluator, HybridConfig, HybridSolver, IlpError};
-use pesto_obs::{Obs, SolverEventKind};
+use pesto_ilp::{Evaluator, IlpError};
 use pesto_sim::{FaultPlan, PerturbationSpec, SimError, Simulator};
 use serde::Serialize;
-use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 /// Schema version stamped into every serialized [`RobustnessReport`], as
@@ -406,160 +402,6 @@ pub fn repair_after_outage(
     })
 }
 
-/// Outcome of a drift-triggered incremental re-placement.
-#[derive(Debug, Clone)]
-pub struct DriftReplaceOutcome {
-    /// What drifted and by how much.
-    pub report: DriftReport,
-    /// The plan to run from here on: the incrementally re-solved one if
-    /// drift was found *and* the re-solve beat the old plan under the
-    /// observed times, otherwise the old plan unchanged.
-    pub plan: Plan,
-    /// Simulated per-step time of [`DriftReplaceOutcome::plan`] under the
-    /// observed op times, µs.
-    pub makespan_us: f64,
-    /// Simulated per-step time of the *old* plan under the observed op
-    /// times, µs — the baseline the re-solve had to beat.
-    pub old_makespan_us: f64,
-    /// Whether the returned plan is the re-solved one.
-    pub replaced: bool,
-}
-
-/// Incremental re-placement after profile drift: compares the observed
-/// per-op times `observed_us` (one entry per op of `graph`; `None` for
-/// ops with no measurement — the shape of
-/// [`pesto_sim::SimReport::observed_op_us`]) against the profiled
-/// expectations `expected_us` and, where ops drifted past their
-/// dispersion threshold (see [`detect_drift`]), re-solves *only around
-/// them* — every op outside a drifted colocation group is pinned, and the
-/// hybrid search is warm-started from the current placement. Flagging
-/// emits a `drift` solver event on `obs` whether or not a re-solve
-/// follows.
-///
-/// A copy of `graph` with the finite positive observations substituted
-/// for the modeled compute times is what gets re-simulated and
-/// re-solved, so the re-solved plan only wins if it actually beats the
-/// old plan under what was measured ([`DriftReplaceOutcome::replaced`]);
-/// drift handling never makes things worse.
-///
-/// `search` bounds the incremental effort (iterations, restarts,
-/// [`HybridConfig::deadline`]); pinning and warm-start fields on it are
-/// overwritten.
-///
-/// # Errors
-///
-/// * [`PestoError::InvalidConfig`] if `expected_us` or `observed_us` is
-///   not one entry per op of `graph`;
-/// * [`PestoError::NoGpus`] for a GPU-less cluster;
-/// * solver and simulation failures.
-#[allow(clippy::too_many_arguments)]
-pub fn replace_after_drift(
-    graph: &pesto_graph::FrozenGraph,
-    expected_us: &[f64],
-    observed_us: &[Option<f64>],
-    cluster: &Cluster,
-    comm: CommModel,
-    plan: &Plan,
-    drift: &DriftConfig,
-    mut search: HybridConfig,
-    obs: &Obs,
-) -> Result<DriftReplaceOutcome, PestoError> {
-    for (name, len) in [
-        ("expected_us", expected_us.len()),
-        ("observed_us", observed_us.len()),
-    ] {
-        if len != graph.op_count() {
-            return Err(PestoError::InvalidConfig(format!(
-                "{name} has {len} entries for a {}-op graph",
-                graph.op_count()
-            )));
-        }
-    }
-    if cluster.gpu_count() == 0 {
-        return Err(PestoError::NoGpus);
-    }
-    let mut thawed = graph.clone().thaw();
-    for (i, obs_us) in observed_us.iter().enumerate() {
-        if let Some(v) = *obs_us {
-            if v.is_finite() && v > 0.0 {
-                thawed.op_mut(OpId::from_index(i)).set_compute_us(v);
-            }
-        }
-    }
-    let observed_graph = thawed
-        .freeze()
-        .map_err(|e| PestoError::InvalidConfig(format!("observed graph: {e}")))?;
-    let graph = &observed_graph;
-    let report = detect_drift(expected_us, observed_us, drift);
-    if obs.is_enabled() {
-        obs.solver_event(
-            "robust.drift",
-            SolverEventKind::Drift {
-                ops_flagged: report.drifted.len() as u64,
-                max_drift_frac: report.max_drift_frac,
-                threshold_frac: report.threshold_frac,
-            },
-        );
-    }
-    let old_makespan_us = Simulator::new(graph, cluster, comm).run(plan)?.makespan_us;
-    if !report.any() {
-        return Ok(DriftReplaceOutcome {
-            report,
-            plan: plan.clone(),
-            makespan_us: old_makespan_us,
-            old_makespan_us,
-            replaced: false,
-        });
-    }
-
-    // Unfreeze exactly the drifted region: a drifted op unpins its whole
-    // colocation group (groups move as one unit in the search), every
-    // other op stays pinned to its current device.
-    let mut pinned = vec![true; graph.op_count()];
-    let mut drifted_groups: HashSet<u32> = HashSet::new();
-    for &i in &report.drifted {
-        pinned[i] = false;
-        if let Some(gid) = graph.op(OpId::from_index(i)).colocation_group() {
-            drifted_groups.insert(gid);
-        }
-    }
-    for id in graph.op_ids() {
-        if let Some(gid) = graph.op(id).colocation_group() {
-            if drifted_groups.contains(&gid) {
-                pinned[id.index()] = false;
-            }
-        }
-    }
-    search.pinned = Some(pinned);
-    search.resume_from = None;
-    search.initial_placements.insert(0, plan.placement.clone());
-    if !search.obs.is_enabled() {
-        search.obs = obs.clone();
-    }
-    let outcome = HybridSolver::new(search).solve(graph, cluster, &comm)?;
-    let new_makespan_us = Simulator::new(graph, cluster, comm)
-        .run(&outcome.plan)?
-        .makespan_us;
-
-    if new_makespan_us < old_makespan_us {
-        Ok(DriftReplaceOutcome {
-            report,
-            plan: outcome.plan,
-            makespan_us: new_makespan_us,
-            old_makespan_us,
-            replaced: true,
-        })
-    } else {
-        Ok(DriftReplaceOutcome {
-            report,
-            plan: plan.clone(),
-            makespan_us: old_makespan_us,
-            old_makespan_us,
-            replaced: false,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -786,120 +628,6 @@ mod tests {
             greedy.makespan_us
         );
         assert!(budgeted.plan.validate(&graph, &budgeted.cluster).is_ok());
-    }
-
-    #[test]
-    fn clean_observations_leave_the_plan_alone() {
-        let graph = ModelSpec::transformer(1, 2, 64).generate(4, 1);
-        let cluster = Cluster::two_gpus();
-        let outcome = Pesto::new(PestoConfig {
-            profiler_iterations: None,
-            ..PestoConfig::fast()
-        })
-        .place(&graph, &cluster)
-        .unwrap();
-        let expected: Vec<f64> = graph.op_ids().map(|id| graph.op(id).compute_us()).collect();
-        let observed: Vec<Option<f64>> = expected.iter().copied().map(Some).collect();
-        let out = replace_after_drift(
-            &graph,
-            &expected,
-            &observed,
-            &cluster,
-            comm(),
-            &outcome.plan,
-            &pesto_cost::DriftConfig::default(),
-            HybridConfig::quick(),
-            &Obs::disabled(),
-        )
-        .unwrap();
-        assert!(!out.report.any());
-        assert!(!out.replaced);
-        assert_eq!(out.plan.placement, outcome.plan.placement);
-        assert_eq!(out.makespan_us, out.old_makespan_us);
-    }
-
-    #[test]
-    fn drift_replacement_flags_drift_and_never_loses_to_the_stale_plan() {
-        let graph = ModelSpec::transformer(1, 2, 64).generate(4, 1);
-        let cluster = Cluster::two_gpus();
-        let outcome = Pesto::new(PestoConfig {
-            profiler_iterations: None,
-            ..PestoConfig::fast()
-        })
-        .place(&graph, &cluster)
-        .unwrap();
-        let expected: Vec<f64> = graph.op_ids().map(|id| graph.op(id).compute_us()).collect();
-
-        // Reality shifts: the three heaviest GPU ops now run 2.5x slower
-        // than their profile (contention, throttling — the profile lied).
-        let mut heavy: Vec<OpId> = graph
-            .op_ids()
-            .filter(|&id| graph.op(id).kind() == DeviceKind::Gpu)
-            .collect();
-        heavy.sort_by(|&a, &b| {
-            graph
-                .op(b)
-                .compute_us()
-                .total_cmp(&graph.op(a).compute_us())
-        });
-        let mut thawed = graph.clone().thaw();
-        for &id in heavy.iter().take(3) {
-            let t = thawed.op(id).compute_us();
-            thawed.op_mut(id).set_compute_us(t * 2.5);
-        }
-        let observed = thawed.freeze().unwrap();
-        let observed_us: Vec<Option<f64>> = observed
-            .op_ids()
-            .map(|id| Some(observed.op(id).compute_us()))
-            .collect();
-
-        let obs = Obs::enabled();
-        let out = replace_after_drift(
-            &graph,
-            &expected,
-            &observed_us,
-            &cluster,
-            comm(),
-            &outcome.plan,
-            &pesto_cost::DriftConfig::default(),
-            HybridConfig::quick(),
-            &obs,
-        )
-        .unwrap();
-        assert!(out.report.any(), "2.5x on heavy ops must be flagged");
-        assert!(
-            out.makespan_us <= out.old_makespan_us + 1e-9,
-            "drift handling made things worse"
-        );
-        assert!(out.plan.validate(&observed, &cluster).is_ok());
-        assert!(
-            obs.solver_events()
-                .iter()
-                .any(|e| matches!(e.kind, SolverEventKind::Drift { .. })),
-            "drift solver event missing"
-        );
-    }
-
-    #[test]
-    fn drift_replacement_rejects_a_mismatched_expectation_vector() {
-        let graph = ModelSpec::transformer(1, 2, 64).generate(4, 1);
-        let cluster = Cluster::two_gpus();
-        let outcome = Pesto::new(PestoConfig::fast())
-            .place(&graph, &cluster)
-            .unwrap();
-        let err = replace_after_drift(
-            &graph,
-            &[1.0, 2.0],
-            &vec![None; graph.op_count()],
-            &cluster,
-            comm(),
-            &outcome.plan,
-            &pesto_cost::DriftConfig::default(),
-            HybridConfig::quick(),
-            &Obs::disabled(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, PestoError::InvalidConfig(_)), "got {err:?}");
     }
 
     #[test]
