@@ -21,6 +21,7 @@
 use pesto::graph::FrozenGraph;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
+use std::ops::RangeInclusive;
 
 /// What a client asked for, persisted verbatim at admission so a crashed
 /// daemon can re-run the job identically. The graph is kept as its
@@ -46,15 +47,17 @@ pub struct JobSpec {
     /// Annealing iterations per restart; `None` uses the quick default.
     pub iterations: Option<usize>,
     /// Independent annealing restarts; `None` uses the quick default.
+    /// Admission accepts at most 64.
     pub restarts: Option<usize>,
     /// Profiling iterations for op-time estimation. `None` trusts the
     /// graph's compute times as-is (and skips the shared profile cache).
+    /// Admission accepts 2 to 10,000.
     pub profiler_iterations: Option<usize>,
     /// Solver worker threads, mapped onto
     /// [`pesto::PestoConfig::solver_threads`]: `None` (and `1`) keep the
     /// deterministic serial solvers; larger values run the MILP
     /// branch-and-bound (and sharded region solves) on that many workers
-    /// for this job.
+    /// for this job. Admission accepts at most 64.
     pub threads: Option<usize>,
     /// Hierarchical sharding: when set, graphs with more ops than this
     /// region cap take the sharded path ([`pesto::PestoConfig::shard`]),
@@ -74,6 +77,15 @@ pub struct JobSpec {
 /// The `chaos` values [`JobSpec::from_request_json`] accepts.
 pub const CHAOS_MODES: &[&str] = &["panic-solve", "panic-worker"];
 
+/// Accepted `profiler_iterations`: the profiler needs at least two
+/// samples per op, and the paper profiles 100.
+const PROFILER_ITERATIONS: RangeInclusive<u64> = 2..=10_000;
+
+/// Accepted `restarts` and `threads`: each restart is one annealing
+/// thread and each solver thread one branch-and-bound worker, so these
+/// bound how many threads one job may start.
+const WORKERS: RangeInclusive<u64> = 0..=64;
+
 impl JobSpec {
     /// Parses a `POST /jobs` body. The only required field is `graph`;
     /// every knob has a service-appropriate default.
@@ -89,6 +101,16 @@ impl JobSpec {
         // admission, not a Failed job discovered minutes later.
         pesto::graph::from_json(&graph_json).map_err(|e| format!("invalid graph: {e}"))?;
         let get_u64 = |key: &str| v.get(key).and_then(Value::as_u64);
+        // A value the pipeline cannot run is a 400 at admission, not a
+        // worker that panics or floods the host with threads.
+        let get_bounded = |key: &str, range: RangeInclusive<u64>| match get_u64(key) {
+            Some(n) if !range.contains(&n) => Err(format!(
+                "\"{key}\" must be in {}..={}, got {n}",
+                range.start(),
+                range.end()
+            )),
+            n => Ok(n.map(|n| n as usize)),
+        };
         let chaos = match v.get("chaos").and_then(Value::as_str) {
             Some(mode) if CHAOS_MODES.contains(&mode) => Some(mode.to_string()),
             Some(mode) => {
@@ -105,9 +127,9 @@ impl JobSpec {
             checkpoint_every: get_u64("checkpoint_every").unwrap_or(200) as usize,
             max_retries: get_u64("max_retries").unwrap_or(2) as u32,
             iterations: get_u64("iterations").map(|n| n as usize),
-            restarts: get_u64("restarts").map(|n| n as usize),
-            profiler_iterations: get_u64("profiler_iterations").map(|n| n as usize),
-            threads: get_u64("threads").map(|n| (n as usize).max(1)),
+            restarts: get_bounded("restarts", WORKERS)?,
+            profiler_iterations: get_bounded("profiler_iterations", PROFILER_ITERATIONS)?,
+            threads: get_bounded("threads", WORKERS)?.map(|n| n.max(1)),
             shard_region_cap: get_u64("shard_region_cap").map(|n| (n as usize).max(2)),
             chaos,
         })
@@ -207,4 +229,49 @@ pub struct TerminalRecord {
     /// the orphan). Always paired with `state == "failed"`.
     #[serde(default)]
     pub panicked: bool,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pesto::graph::{to_json, DeviceKind, OpGraph};
+
+    fn body(knob: &str, value: u64) -> String {
+        let mut g = OpGraph::new("one-op");
+        g.add_op("a", DeviceKind::Gpu, 10.0, 16);
+        let graph = to_json(&g.freeze().unwrap());
+        format!("{{\"graph\":{graph},\"{knob}\":{value}}}")
+    }
+
+    #[test]
+    fn out_of_range_knobs_are_rejected_by_name() {
+        for (knob, value) in [
+            ("profiler_iterations", 0),
+            ("profiler_iterations", 1),
+            ("profiler_iterations", 10_001),
+            ("restarts", 1_000_000),
+            ("threads", 1_000_000),
+        ] {
+            let err = JobSpec::from_request_json(&body(knob, value)).unwrap_err();
+            assert!(err.contains(knob), "{knob} = {value}: {err}");
+        }
+    }
+
+    #[test]
+    fn in_range_knobs_are_admitted() {
+        for (knob, value) in [
+            ("profiler_iterations", 2),
+            ("profiler_iterations", 10_000),
+            ("restarts", 64),
+            ("threads", 64),
+        ] {
+            let spec = JobSpec::from_request_json(&body(knob, value)).unwrap();
+            let got = match knob {
+                "profiler_iterations" => spec.profiler_iterations,
+                "restarts" => spec.restarts,
+                _ => spec.threads,
+            };
+            assert_eq!(got, Some(value as usize), "{knob}");
+        }
+    }
 }

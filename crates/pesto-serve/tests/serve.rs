@@ -135,6 +135,27 @@ fn malformed_submissions_are_rejected_at_admission() {
 }
 
 #[test]
+fn out_of_range_profiler_iterations_are_rejected_before_admission() {
+    // One profiling iteration cannot fit a profile: admitted, it would
+    // panic the worker outside the solve sandbox and spend a restart.
+    let (server, addr, _dir) = test_server("badknob", 1, 16);
+    let resp = submit_raw(
+        &addr,
+        &body_with(&small_graph_json(), "\"profiler_iterations\":1"),
+    )
+    .unwrap();
+    assert_eq!(resp.status, 400);
+    assert!(resp.body.contains("profiler_iterations"), "{}", resp.body);
+    let health = get_json(&addr, "/healthz");
+    assert_eq!(health.get("submitted").and_then(Value::as_u64), Some(0));
+    assert_eq!(
+        health.get("worker_restarts").and_then(Value::as_u64),
+        Some(0)
+    );
+    server.stop();
+}
+
+#[test]
 fn overload_is_a_typed_429_with_retry_after() {
     let (server, addr, _dir) = test_server("overload", 1, 1);
     let graph = small_graph_json();
