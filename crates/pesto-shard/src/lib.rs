@@ -5,10 +5,10 @@
 //! magnitude smaller. This crate makes paper-scale placement tractable by
 //! decomposing it, the way Tesserae scales placement policies (PAPERS.md):
 //!
-//! 1. **Partition** ([`partition`] module): coarsener colocation groups
-//!    become *atoms*, packed in topological order into regions of at most
-//!    [`ShardConfig::region_cap`] ops, each ranked by how much of the
-//!    global critical path it contains.
+//! 1. **Partition** ([`partition`](mod@partition) module): coarsener
+//!    colocation groups become *atoms*, packed in topological order into
+//!    regions of at most [`ShardConfig::region_cap`] ops, each ranked by
+//!    how much of the global critical path it contains.
 //! 2. **Solve** ([`solve`] module): each region's induced subgraph is
 //!    coarsened and placed independently by the existing hybrid solver,
 //!    fanned out over a scoped worker pool. Under a `time_budget`, each
