@@ -320,26 +320,24 @@ impl HybridSolver {
         // initial state, so a checkpoint always covers every restart and
         // a resumed search never silently drops a chain.
         let slots: RobustMutex<Vec<Option<RestartState>>> = RobustMutex::new(vec![None; restarts]);
-        let snapshot =
-            |slots: &RobustMutex<Vec<Option<RestartState>>>| -> Option<HybridSearchState> {
-                let guard = slots.lock();
-                if guard.iter().any(|s| s.is_none()) {
-                    return None;
-                }
-                Some(HybridSearchState {
-                    seed: config.seed,
-                    iterations: steps,
-                    restarts: guard.iter().flatten().cloned().collect(),
-                })
-            };
-        let publish_impl = || {
+        let snapshot = || -> Option<HybridSearchState> {
+            let guard = slots.lock();
+            if guard.iter().any(|s| s.is_none()) {
+                return None;
+            }
+            Some(HybridSearchState {
+                seed: config.seed,
+                iterations: steps,
+                restarts: guard.iter().flatten().cloned().collect(),
+            })
+        };
+        let publish = || {
             if let Some(sink) = &config.checkpoint_sink {
-                if let Some(state) = snapshot(&slots) {
+                if let Some(state) = snapshot() {
                     (sink.0)(&state);
                 }
             }
         };
-        let publish: &(dyn Fn() + Sync) = &publish_impl;
 
         let eval = Evaluator::new(graph, cluster, *comm, config.infinite_links);
 
@@ -365,7 +363,7 @@ impl HybridSolver {
                         seed_placement,
                         first_unseeded: resume.is_none() && slot_idx == seeds.len(),
                         slots: &slots,
-                        publish,
+                        publish: &publish,
                     };
                     scope.spawn(move || anneal_once(task))
                 })
@@ -406,7 +404,7 @@ impl HybridSolver {
         let plan = eval.schedule(placement)?.plan;
 
         // Terminal snapshot: every chain has written its final state.
-        let search_state = snapshot(&slots);
+        let search_state = snapshot();
         if let (Some(sink), Some(state)) = (&config.checkpoint_sink, &search_state) {
             (sink.0)(state);
         }
@@ -460,8 +458,6 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
         publish,
     } = task;
     let restart = resume.map_or(slot_idx as u64, |r| r.restart);
-    let gpu_ops: Vec<OpId> = units.iter().flatten().copied().collect();
-    let gpu_ops = &gpu_ops[..];
     let mut rng = match resume {
         Some(r) => SearchRng::from_state(r.rng),
         None => SearchRng::seed_from_u64(config.seed.wrapping_add(restart)),
@@ -477,7 +473,7 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
         placement = r.placement.clone();
     } else if let Some(seed) = seed_placement {
         placement = seed.clone();
-    } else if first_unseeded && !gpu_ops.is_empty() {
+    } else if first_unseeded && !units.is_empty() {
         let mut order: Vec<OpId> = graph
             .topo_order()
             .iter()
@@ -567,7 +563,7 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
         });
     };
 
-    if gpu_ops.is_empty() || gpus.len() < 2 {
+    if units.is_empty() || gpus.len() < 2 {
         save(&rng, steps, temp, &placement, &best, true, false);
         obs.counter_add("hybrid.evaluations", evaluations);
         return Ok((best.0, best.1, truncated)); // nothing to search
