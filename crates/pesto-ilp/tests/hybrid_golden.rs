@@ -5,10 +5,11 @@
 //! the returned plan with its makespan, the final search state (every
 //! restart's RNG, iteration, temperatures, placements and incumbent cost,
 //! floats by their bits), and the `hybrid.evaluations` and
-//! `hybrid.accepted` counters. The digests pin the whole trajectory: a
-//! change to the evaluator or the annealer that moves one candidate's
-//! cost, one RNG draw or one accept decision fails here. No case sets a
-//! deadline or a cancel token; both depend on the wall clock.
+//! `hybrid.accepted` counters; the resume case pins only the first two.
+//! The digests pin the whole trajectory: a change to the evaluator or
+//! the annealer that moves one candidate's cost, one RNG draw or one
+//! accept decision fails here. No case sets a deadline or a cancel
+//! token; both depend on the wall clock.
 
 use pesto_baselines::{m_etf, m_sct};
 use pesto_coarsen::{coarsen, CoarsenConfig};
