@@ -37,6 +37,8 @@
 
 mod problem;
 mod simplex;
+#[cfg(test)]
+mod simplex_reference;
 
 pub use problem::{LpError, Problem, Relation, Sense, Solution, VarId};
 
