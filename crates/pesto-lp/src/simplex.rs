@@ -232,6 +232,7 @@ fn run_simplex(
     // next improving pivot — the old behavior — could flip back to Dantzig
     // mid-stall and re-enter the very cycle Bland's rule exists to break.)
     let mut bland = false;
+    let mut nonzeros = Vec::new();
     for done in 0..iter_limit {
         if !bland && degenerate_streak >= DEGENERATE_SWITCH {
             bland = true;
@@ -247,7 +248,7 @@ fn run_simplex(
         } else {
             degenerate_streak = 0;
         }
-        pivot(tableau, obj, basis, l, e, total);
+        pivot(tableau, obj, basis, l, e, &mut nonzeros);
     }
     Err(LpError::IterationLimit)
 }
@@ -311,41 +312,52 @@ fn choose_leaving(
 }
 
 /// Pivots the tableau on `(row, col)`, updating the objective row and basis.
-#[allow(clippy::needless_range_loop)] // indexed form mirrors the math
+///
+/// Only the pivot row's nonzero entries are eliminated, gathered once into
+/// `nonzeros` (a buffer the caller reuses across pivots); the pivot column
+/// is set to zero outright. A skipped cell would have become `x - f·0`,
+/// which is `x` itself unless `x` is a zero, so the tableau matches the
+/// dense update bit for bit up to the sign of a zero cell, which no
+/// comparison, ratio or extracted value observes.
 fn pivot(
     tableau: &mut [Vec<f64>],
     obj: &mut [f64],
     basis: &mut [usize],
     row: usize,
     col: usize,
-    total: usize,
+    nonzeros: &mut Vec<(usize, f64)>,
 ) {
-    let piv = tableau[row][col];
+    let pivot_row = &mut tableau[row];
+    let piv = pivot_row[col];
     debug_assert!(piv.abs() > PIVOT_EPS * 0.1, "pivot too small: {piv}");
     let inv = 1.0 / piv;
-    for j in 0..=total {
-        tableau[row][j] *= inv;
+    for a in pivot_row.iter_mut() {
+        *a *= inv;
     }
-    tableau[row][col] = 1.0; // kill round-off on the pivot itself
-    for i in 0..tableau.len() {
-        if i == row {
-            continue;
-        }
-        let factor = tableau[i][col];
+    pivot_row[col] = 1.0; // kill round-off on the pivot itself
+    nonzeros.clear();
+    nonzeros.extend(
+        pivot_row
+            .iter()
+            .enumerate()
+            .filter(|&(j, &a)| j != col && a != 0.0)
+            .map(|(j, &a)| (j, a)),
+    );
+    let eliminate = |r: &mut [f64]| {
+        let factor = r[col];
         if factor.abs() > 0.0 {
-            for j in 0..=total {
-                tableau[i][j] -= factor * tableau[row][j];
+            for &(j, a) in nonzeros.iter() {
+                r[j] -= factor * a;
             }
-            tableau[i][col] = 0.0;
+            r[col] = 0.0;
+        }
+    };
+    for (i, r) in tableau.iter_mut().enumerate() {
+        if i != row {
+            eliminate(r);
         }
     }
-    let factor = obj[col];
-    if factor.abs() > 0.0 {
-        for j in 0..=total {
-            obj[j] -= factor * tableau[row][j];
-        }
-        obj[col] = 0.0;
-    }
+    eliminate(obj);
     basis[row] = col;
 }
 
@@ -358,6 +370,7 @@ fn drive_out_artificials(
     is_artificial: &[bool],
     total: usize,
 ) {
+    let mut nonzeros = Vec::new();
     for i in 0..tableau.len() {
         if !is_artificial[basis[i]] {
             continue;
@@ -366,7 +379,7 @@ fn drive_out_artificials(
         if let Some(c) = col {
             // A throwaway objective row: we only need the tableau pivoted.
             let mut dummy = vec![0.0; total + 1];
-            pivot(tableau, &mut dummy, basis, i, c, total);
+            pivot(tableau, &mut dummy, basis, i, c, &mut nonzeros);
         }
     }
 }
