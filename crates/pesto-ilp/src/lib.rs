@@ -69,7 +69,7 @@ pub use formulation::{IlpConfig, IlpModel, IlpOutcome, MemoryRule};
 pub use hybrid::{
     CheckpointSink, HybridConfig, HybridOutcome, HybridSearchState, HybridSolver, RestartState,
 };
-pub use listsched::{etf_schedule, Evaluator, ListScheduleResult};
+pub use listsched::{etf_schedule, EtfTrace, Evaluator, ListScheduleResult};
 pub use multi::{MultiGpuIlp, MultiGpuOutcome};
 pub use placer::{PestoPlacer, PlaceOutcome, PlacerConfig, SolvePath};
 pub use rng::{splitmix64, SearchRng};

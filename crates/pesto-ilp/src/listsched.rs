@@ -28,9 +28,14 @@ use pesto_sim::{Routes, SimError, SimReport, Simulator};
 /// [`Evaluator::new`]: the b-levels the ETF pass ranks ready ops by, and
 /// the simulator with its out-edge index and the device-pair link table
 /// ([`Simulator::routes`]) that both the ETF pass and the simulator route
-/// transfers through. A call allocates only its own per-call buffers, so
-/// one evaluator can be shared by many threads, and every cost is
-/// bit-identical to [`etf_schedule`] plus the penalty.
+/// transfers through. Every cost is bit-identical to [`etf_schedule`]
+/// plus the penalty.
+///
+/// A search that scores many small moves keeps the [`EtfTrace`] of its
+/// incumbent's pass ([`Evaluator::score`]) and scores a candidate with
+/// [`Evaluator::rescore`], which runs only the ETF steps the move can
+/// change. Callers own the traces; the evaluator keeps no per-call state,
+/// so one shared, immutable evaluator serves many threads.
 ///
 /// # Example
 ///
@@ -94,15 +99,9 @@ impl<'a> Evaluator<'a> {
     ///
     /// [`SimError`] from plan validation or simulation.
     pub fn schedule(&self, placement: Placement) -> Result<ListScheduleResult, SimError> {
-        let order = etf_order(
-            self.graph,
-            self.cluster,
-            &self.comm,
-            &self.b_levels,
-            self.sim.routes(),
-            &placement,
-        )?;
-        simulate_order(placement, order, &self.sim)
+        let mut trace = EtfTrace::default();
+        self.pass().run(&placement, None, &mut trace)?;
+        simulate_order(placement, ScheduleOrder::from_vecs(trace.order), &self.sim)
     }
 
     /// The cost of `placement`: the simulated makespan of its ETF plan
@@ -112,7 +111,73 @@ impl<'a> Evaluator<'a> {
     ///
     /// As [`Evaluator::schedule`].
     pub fn cost(&self, placement: &Placement) -> Result<f64, SimError> {
-        let mut cost = self.schedule(placement.clone())?.report.makespan_us;
+        Ok(self.score(placement)?.0)
+    }
+
+    /// [`Evaluator::cost`] of `placement`, with the trace of its ETF pass
+    /// for [`Evaluator::rescore`] to resume from.
+    ///
+    /// # Errors
+    ///
+    /// As [`Evaluator::schedule`].
+    pub fn score(&self, placement: &Placement) -> Result<(f64, EtfTrace), SimError> {
+        let mut trace = EtfTrace::default();
+        let cost = self.evaluate(placement, None, &mut trace)?;
+        Ok((cost, trace))
+    }
+
+    /// [`Evaluator::cost`] of `cand`, resumed from `base_trace`, the trace
+    /// of `base`'s pass, and bit-identical to a full evaluation. `cand`'s
+    /// trace is written into `trace`, whose buffers are reused: a search
+    /// that keeps its incumbent's trace and one spare, and swaps the two
+    /// when it adopts a candidate, allocates no trace per candidate.
+    ///
+    /// The ETF pass of `cand` repeats `base`'s step for step until the
+    /// first step `r` at which an op the two place differently is ready.
+    /// It restarts from `base`'s last snapshot taken strictly before `r`
+    /// (a snapshot at `r` already holds that op's ready entry for its
+    /// `base` device) and runs the remaining steps; the plan is then
+    /// simulated in full. Without a usable base (an incomplete trace, or
+    /// a move of an op ready from step 0) the pass runs from step 0.
+    /// [`EtfTrace::skipped_steps`] says how many steps were not run.
+    ///
+    /// # Errors
+    ///
+    /// As [`Evaluator::cost`] of `cand`.
+    pub fn rescore(
+        &self,
+        base: &Placement,
+        base_trace: &EtfTrace,
+        cand: &Placement,
+        trace: &mut EtfTrace,
+    ) -> Result<f64, SimError> {
+        self.evaluate(cand, Some((base, base_trace)), trace)
+    }
+
+    /// The ETF pass's placement-independent inputs.
+    fn pass(&self) -> EtfInputs<'_> {
+        EtfInputs {
+            graph: self.graph,
+            cluster: self.cluster,
+            comm: &self.comm,
+            bl: &self.b_levels,
+            routes: self.sim.routes(),
+        }
+    }
+
+    /// The penalized cost of `placement`, its pass resumed from `base`
+    /// where possible and recorded in `trace`.
+    fn evaluate(
+        &self,
+        placement: &Placement,
+        base: Option<(&Placement, &EtfTrace)>,
+        trace: &mut EtfTrace,
+    ) -> Result<f64, SimError> {
+        self.pass().run(placement, base, trace)?;
+        let order = ScheduleOrder::from_vecs(trace.order.clone());
+        let mut cost = simulate_order(placement.clone(), order, &self.sim)?
+            .report
+            .makespan_us;
         let usage = placement.memory_per_device(self.graph, self.cluster);
         for (d, &used) in usage.iter().enumerate() {
             let cap = self.cluster.devices()[d].memory_bytes();
@@ -208,15 +273,17 @@ pub fn etf_schedule(
     placement: Placement,
     sim: &Simulator<'_>,
 ) -> Result<ListScheduleResult, SimError> {
-    let order = etf_order(
+    let (bl, routes) = (b_levels(graph, comm), Routes::new(cluster));
+    let inputs = EtfInputs {
         graph,
         cluster,
         comm,
-        &b_levels(graph, comm),
-        &Routes::new(cluster),
-        &placement,
-    )?;
-    simulate_order(placement, order, sim)
+        bl: &bl,
+        routes: &routes,
+    };
+    let mut trace = EtfTrace::default();
+    inputs.run(&placement, None, &mut trace)?;
+    simulate_order(placement, ScheduleOrder::from_vecs(trace.order), sim)
 }
 
 /// Simulates `placement` run in `order` on `sim`.
@@ -230,9 +297,13 @@ fn simulate_order(
     Ok(ListScheduleResult { plan, report })
 }
 
+/// ETF steps between two snapshots of a pass ([`EtfTrace`]): a resumed
+/// pass re-runs fewer than this many of the steps it shares with its base.
+const SNAPSHOT_EVERY: usize = 16;
+
 /// A ready op and what its start estimate depends on, fixed once its
 /// last input has finished.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct ReadyOp {
     op: OpId,
     dev: DeviceId,
@@ -247,61 +318,269 @@ struct ReadyOp {
     missing: Option<(DeviceId, DeviceId)>,
 }
 
-/// The ETF pass behind [`etf_schedule`] and [`Evaluator`]: the per-device
-/// order of `placement`, given the graph's b-levels `bl` and the
-/// cluster's `routes`.
+/// The record of one ETF pass that [`Evaluator::rescore`] resumes from,
+/// and the buffers the pass ran in.
 ///
-/// An input `p` of op `v` arrives over link `l` at `max(finish_p,
-/// free_l) + t_p`. Rounding is monotone, so that equals `max(finish_p +
-/// t_p, free_l + t_p)` bit for bit, and over all of `v`'s inputs the
-/// estimate `max(device_free, arrivals)` equals `max(device_free,
-/// data_ready, free_l + longest_l for each link l)`, where only `free_l`
-/// and `device_free` change while `v` waits. `data_ready` and `longest_l`
-/// are fixed when `v` becomes ready ([`ReadyOp`]), so a step reads one
-/// value per incoming link instead of every input and its transfer time.
-fn etf_order(
-    graph: &FrozenGraph,
-    cluster: &Cluster,
-    comm: &CommModel,
-    bl: &[f64],
-    routes: &Routes,
-    placement: &Placement,
-) -> Result<ScheduleOrder, SimError> {
-    // On very wide frontiers only the highest-priority (b-level) ready ops
-    // are scanned: a standard bounded-lookahead ETF that estimates at most
-    // K ops per step instead of every ready op on 20k+-op graphs.
-    const SCAN_LIMIT: usize = 64;
-    let n = graph.op_count();
-    let devices = cluster.device_count();
-    // The simulator validates the plan, but only after this pass has
-    // indexed the placement: reject what would index out of range here,
-    // with the error the simulator's validation gives.
-    if placement.op_count() != n || placement.as_slice().iter().any(|d| d.index() >= devices) {
-        placement.validate(graph, cluster)?;
+/// Besides the per-device order, a trace keeps each op's finish time and
+/// the steps at which it became ready and was committed, plus a snapshot
+/// of the pass's state at the start of every 16th step. Passes overwrite
+/// a trace in place, reusing its allocations. A trace describes the last
+/// placement scored into it; only a pass that completed can be resumed
+/// from.
+#[derive(Debug, Clone, Default)]
+pub struct EtfTrace {
+    /// Whether the last pass into this trace ran its last step.
+    complete: bool,
+    /// The step the last pass started at: 0 unless it was resumed.
+    resumed_at: usize,
+    /// Per op: its finish time, the step from which it was ready and the
+    /// step that committed it.
+    finish: Vec<f64>,
+    ready_step: Vec<u32>,
+    commit_step: Vec<u32>,
+    /// Per op, its inputs not yet committed (working state).
+    remaining_preds: Vec<u32>,
+    /// Per device, the ops committed to it in order.
+    order: Vec<Vec<OpId>>,
+    device_free: Vec<f64>,
+    link_free: Vec<f64>,
+    /// The per-link input bounds of every ready op so far ([`ReadyOp`]).
+    bounds: Vec<(usize, f64)>,
+    /// The ready list, in index order: `swap_remove` and the lookahead's
+    /// selection make that order part of the result.
+    ready: Vec<ReadyOp>,
+    /// Positions in `ready` scanned this step (working state).
+    scan: Vec<usize>,
+    snapshots: Snapshots,
+}
+
+impl EtfTrace {
+    /// The ETF steps the pass that filled this trace did not run because
+    /// they repeat its base's: 0 for a pass from step 0.
+    pub fn skipped_steps(&self) -> usize {
+        self.resumed_at
     }
-    let mut device_free = vec![0.0f64; devices];
-    let mut link_free = vec![0.0f64; cluster.link_count()];
-    let mut finish = vec![0.0f64; n];
-    let mut remaining_preds: Vec<usize> = (0..n)
-        .map(|i| graph.in_degree(OpId::from_index(i)))
-        .collect();
-    let mut bounds: Vec<(usize, f64)> = Vec::new();
-    let ready_op = |op: OpId, finish: &[f64], bounds: &mut Vec<(usize, f64)>| {
+
+    /// The snapshot a pass of `cand` can resume from when this trace is
+    /// the complete pass of `base` over `n` ops: the last one taken
+    /// strictly before the first step at which an op the two place
+    /// differently is ready. `None` when that op is ready at step 0.
+    fn resume_point(&self, n: usize, base: &Placement, cand: &Placement) -> Option<usize> {
+        if !self.complete || self.ready_step.len() != n || base.op_count() != n {
+            return None;
+        }
+        let first_moved_ready = base
+            .as_slice()
+            .iter()
+            .zip(cand.as_slice())
+            .zip(&self.ready_step)
+            .filter(|((b, c), _)| b != c)
+            .map(|(_, &step)| step as usize)
+            .min()
+            .unwrap_or(n);
+        (first_moved_ready > 0).then(|| (first_moved_ready - 1) / SNAPSHOT_EVERY)
+    }
+
+    /// Resets the trace to the start of a pass over `graph`'s ops.
+    fn start(&mut self, graph: &FrozenGraph, devices: usize, links: usize) {
+        let n = graph.op_count();
+        self.resumed_at = 0;
+        self.finish.clear();
+        self.finish.resize(n, 0.0);
+        self.ready_step.clear();
+        self.ready_step.resize(n, 0);
+        self.commit_step.clear();
+        self.commit_step.resize(n, 0);
+        self.remaining_preds.clear();
+        self.remaining_preds
+            .extend((0..n).map(|i| graph.in_degree(OpId::from_index(i)) as u32));
+        self.order.resize_with(devices, Vec::new);
+        self.order.iter_mut().for_each(Vec::clear);
+        self.device_free.clear();
+        self.device_free.resize(devices, 0.0);
+        self.link_free.clear();
+        self.link_free.resize(links, 0.0);
+        self.bounds.clear();
+        self.ready.clear();
+        self.snapshots.clear(devices, links);
+    }
+
+    /// Sets the trace to `base`'s state at its snapshot `s`, keeping the
+    /// snapshots before it. Per-op state is copied whole: finish times of
+    /// ops not yet committed are overwritten before they are read, and the
+    /// remaining-input counts are rebuilt from `base`'s commit steps.
+    fn restore(&mut self, base: &EtfTrace, s: usize, graph: &FrozenGraph) {
+        let step = s * SNAPSHOT_EVERY;
+        let snaps = &base.snapshots;
+        self.resumed_at = step;
+        self.finish.clone_from(&base.finish);
+        self.ready_step.clone_from(&base.ready_step);
+        self.commit_step.clone_from(&base.commit_step);
+        self.remaining_preds.clear();
+        self.remaining_preds.extend((0..graph.op_count()).map(|i| {
+            let preds = graph.preds(OpId::from_index(i));
+            preds
+                .iter()
+                .filter(|p| base.commit_step[p.index()] as usize >= step)
+                .count() as u32
+        }));
+        self.order.resize_with(base.order.len(), Vec::new);
+        for ((mine, theirs), &len) in self
+            .order
+            .iter_mut()
+            .zip(&base.order)
+            .zip(snaps.order_len(s))
+        {
+            mine.clear();
+            mine.extend_from_slice(&theirs[..len as usize]);
+        }
+        self.device_free.clear();
+        self.device_free.extend_from_slice(snaps.device_free(s));
+        self.link_free.clear();
+        self.link_free.extend_from_slice(snaps.link_free(s));
+        self.bounds.clear();
+        self.bounds
+            .extend_from_slice(&base.bounds[..snaps.bounds_len[s] as usize]);
+        self.ready.clear();
+        self.ready.extend_from_slice(snaps.ready(s));
+        self.snapshots.copy_prefix(snaps, s);
+    }
+}
+
+/// Snapshots of one ETF pass, taken at the start of every
+/// [`SNAPSHOT_EVERY`]-th step and stored flat: each holds the ready list,
+/// `device_free`, `link_free`, every device's order length and the length
+/// of `bounds`. The rest of the state at a snapshot follows from the
+/// trace's per-op steps.
+#[derive(Debug, Clone, Default)]
+struct Snapshots {
+    /// Devices and links of the cluster: the per-snapshot strides of
+    /// `device_free` and `order_len`, and of `link_free`.
+    devices: usize,
+    links: usize,
+    /// The snapshots' ready lists, back to back.
+    ready: Vec<ReadyOp>,
+    /// Where each snapshot's ready list ends in `ready`.
+    ready_end: Vec<u32>,
+    device_free: Vec<f64>,
+    link_free: Vec<f64>,
+    order_len: Vec<u32>,
+    bounds_len: Vec<u32>,
+}
+
+impl Snapshots {
+    /// Drops every snapshot; later ones are of a pass on `devices`
+    /// devices and `links` links.
+    fn clear(&mut self, devices: usize, links: usize) {
+        self.devices = devices;
+        self.links = links;
+        self.ready.clear();
+        self.ready_end.clear();
+        self.device_free.clear();
+        self.link_free.clear();
+        self.order_len.clear();
+        self.bounds_len.clear();
+    }
+
+    fn push(
+        &mut self,
+        ready: &[ReadyOp],
+        device_free: &[f64],
+        link_free: &[f64],
+        order: &[Vec<OpId>],
+        bounds_len: usize,
+    ) {
+        self.ready.extend_from_slice(ready);
+        self.ready_end.push(self.ready.len() as u32);
+        self.device_free.extend_from_slice(device_free);
+        self.link_free.extend_from_slice(link_free);
+        self.order_len.extend(order.iter().map(|o| o.len() as u32));
+        self.bounds_len.push(bounds_len as u32);
+    }
+
+    fn ready(&self, s: usize) -> &[ReadyOp] {
+        let start = if s == 0 { 0 } else { self.ready_end[s - 1] };
+        &self.ready[start as usize..self.ready_end[s] as usize]
+    }
+
+    fn device_free(&self, s: usize) -> &[f64] {
+        &self.device_free[s * self.devices..(s + 1) * self.devices]
+    }
+
+    fn link_free(&self, s: usize) -> &[f64] {
+        &self.link_free[s * self.links..(s + 1) * self.links]
+    }
+
+    fn order_len(&self, s: usize) -> &[u32] {
+        &self.order_len[s * self.devices..(s + 1) * self.devices]
+    }
+
+    /// Becomes `other`'s first `count` snapshots.
+    fn copy_prefix(&mut self, other: &Snapshots, count: usize) {
+        let (devices, links) = (other.devices, other.links);
+        let ready_end = if count == 0 {
+            0
+        } else {
+            other.ready_end[count - 1]
+        };
+        self.devices = devices;
+        self.links = links;
+        self.ready.clear();
+        self.ready
+            .extend_from_slice(&other.ready[..ready_end as usize]);
+        self.ready_end.clear();
+        self.ready_end.extend_from_slice(&other.ready_end[..count]);
+        self.device_free.clear();
+        self.device_free
+            .extend_from_slice(&other.device_free[..count * devices]);
+        self.link_free.clear();
+        self.link_free
+            .extend_from_slice(&other.link_free[..count * links]);
+        self.order_len.clear();
+        self.order_len
+            .extend_from_slice(&other.order_len[..count * devices]);
+        self.bounds_len.clear();
+        self.bounds_len
+            .extend_from_slice(&other.bounds_len[..count]);
+    }
+}
+
+/// The placement-independent inputs of the ETF pass behind
+/// [`etf_schedule`] and [`Evaluator`]: the graph's b-levels `bl` and the
+/// cluster's `routes`.
+struct EtfInputs<'a> {
+    graph: &'a FrozenGraph,
+    cluster: &'a Cluster,
+    comm: &'a CommModel,
+    bl: &'a [f64],
+    routes: &'a Routes,
+}
+
+impl EtfInputs<'_> {
+    /// `op`'s ready entry under `placement`, once its inputs have
+    /// finished; its per-link bounds are appended to `bounds`.
+    fn ready_op(
+        &self,
+        placement: &Placement,
+        op: OpId,
+        finish: &[f64],
+        bounds: &mut Vec<(usize, f64)>,
+    ) -> ReadyOp {
         let dev = placement.device(op);
         let start = bounds.len();
         let mut data_ready = f64::NEG_INFINITY;
         let mut missing = None;
-        for &(p, bytes) in graph.preds_with_bytes(op) {
+        for &(p, bytes) in self.graph.preds_with_bytes(op) {
             let pdev = placement.device(p);
             if pdev == dev {
                 data_ready = data_ready.max(finish[p.index()]);
                 continue;
             }
-            let Ok(route) = routes.get(pdev, dev) else {
+            let Ok(route) = self.routes.get(pdev, dev) else {
                 missing = missing.or(Some((pdev, dev)));
                 continue;
             };
-            let t = route.transfer_us(comm, bytes);
+            let t = route.transfer_us(self.comm, bytes);
             data_ready = data_ready.max(finish[p.index()] + t);
             let link = route.link.index();
             match bounds[start..].iter_mut().find(|(l, _)| *l == link) {
@@ -312,85 +591,155 @@ fn etf_order(
         ReadyOp {
             op,
             dev,
-            b_level: bl[op.index()],
+            b_level: self.bl[op.index()],
             data_ready,
             bounds: (start as u32, bounds.len() as u32),
             missing,
         }
-    };
-    let mut ready: Vec<ReadyOp> = (0..n)
-        .filter(|&i| remaining_preds[i] == 0)
-        .map(|i| ready_op(OpId::from_index(i), &finish, &mut bounds))
-        .collect();
-    let mut order: Vec<Vec<OpId>> = vec![Vec::new(); devices];
-    // Positions in `ready` scanned this step.
-    let mut scan: Vec<usize> = Vec::new();
-
-    for _ in 0..n {
-        debug_assert!(!ready.is_empty(), "DAG guarantees progress");
-        // Estimate the earliest start of each scanned ready op (without
-        // committing). A wide frontier is cut down by selecting from
-        // `0..len` in place, so exact b-level ties resolve the same on
-        // every call.
-        scan.clear();
-        scan.extend(0..ready.len());
-        if scan.len() > SCAN_LIMIT {
-            scan.select_nth_unstable_by(SCAN_LIMIT - 1, |&a, &b| {
-                ready[b].b_level.total_cmp(&ready[a].b_level)
-            });
-            scan.truncate(SCAN_LIMIT);
-        }
-        let mut best: Option<(usize, f64)> = None;
-        for &idx in &scan {
-            let r = &ready[idx];
-            if let Some((src, dst)) = r.missing {
-                return Err(SimError::MissingLink { src, dst });
-            }
-            let mut est = device_free[r.dev.index()].max(r.data_ready);
-            for &(link, longest) in &bounds[r.bounds.0 as usize..r.bounds.1 as usize] {
-                est = est.max(link_free[link] + longest);
-            }
-            let better = match best {
-                None => true,
-                Some((bidx, bstart)) => {
-                    est < bstart - 1e-12
-                        || (est < bstart + 1e-12 && r.b_level > ready[bidx].b_level)
-                }
-            };
-            if better {
-                best = Some((idx, est));
-            }
-        }
-        let (idx, _) = best.expect("ready set is non-empty");
-        let ReadyOp { op, dev, .. } = ready.swap_remove(idx);
-
-        // Commit: transfers first (updating link availability), then the op.
-        let mut start = device_free[dev.index()];
-        for &(p, bytes) in graph.preds_with_bytes(op) {
-            let pdev = placement.device(p);
-            let arrival = if pdev == dev {
-                finish[p.index()]
-            } else {
-                let route = routes.get(pdev, dev)?;
-                let link = route.link.index();
-                let t1 = finish[p.index()].max(link_free[link]) + route.transfer_us(comm, bytes);
-                link_free[link] = t1;
-                t1
-            };
-            start = start.max(arrival);
-        }
-        finish[op.index()] = start + graph.op(op).compute_us();
-        device_free[dev.index()] = finish[op.index()];
-        order[dev.index()].push(op);
-
-        for &s in graph.succs(op) {
-            remaining_preds[s.index()] -= 1;
-            if remaining_preds[s.index()] == 0 {
-                ready.push(ready_op(s, &finish, &mut bounds));
-            }
-        }
     }
-    Ok(ScheduleOrder::from_vecs(order))
+
+    /// The ETF pass of `placement`, recorded in `trace`: its per-device
+    /// order, per-op steps and snapshots. With `base` (a placement and the
+    /// trace of its pass) the pass starts from the snapshot
+    /// [`EtfTrace::resume_point`] picks, otherwise from step 0.
+    ///
+    /// An input `p` of op `v` arrives over link `l` at `max(finish_p,
+    /// free_l) + t_p`. Rounding is monotone, so that equals `max(finish_p +
+    /// t_p, free_l + t_p)` bit for bit, and over all of `v`'s inputs the
+    /// estimate `max(device_free, arrivals)` equals `max(device_free,
+    /// data_ready, free_l + longest_l for each link l)`, where only `free_l`
+    /// and `device_free` change while `v` waits. `data_ready` and
+    /// `longest_l` are fixed when `v` becomes ready ([`ReadyOp`]), so a
+    /// step reads one value per incoming link instead of every input and
+    /// its transfer time.
+    fn run(
+        &self,
+        placement: &Placement,
+        base: Option<(&Placement, &EtfTrace)>,
+        trace: &mut EtfTrace,
+    ) -> Result<(), SimError> {
+        // On very wide frontiers only the highest-priority (b-level) ready
+        // ops are scanned: a standard bounded-lookahead ETF that estimates
+        // at most K ops per step instead of every ready op on 20k+-op
+        // graphs.
+        const SCAN_LIMIT: usize = 64;
+        let graph = self.graph;
+        let n = graph.op_count();
+        let devices = self.cluster.device_count();
+        trace.complete = false;
+        // The simulator validates the plan, but only after this pass has
+        // indexed the placement: reject what would index out of range
+        // here, with the error the simulator's validation gives.
+        if placement.op_count() != n || placement.as_slice().iter().any(|d| d.index() >= devices) {
+            placement.validate(graph, self.cluster)?;
+        }
+        let resume = base.and_then(|(bp, bt)| Some((bt, bt.resume_point(n, bp, placement)?)));
+        match resume {
+            Some((bt, s)) => trace.restore(bt, s, graph),
+            None => {
+                trace.start(graph, devices, self.cluster.link_count());
+                for i in 0..n {
+                    if trace.remaining_preds[i] == 0 {
+                        let r = self.ready_op(
+                            placement,
+                            OpId::from_index(i),
+                            &trace.finish,
+                            &mut trace.bounds,
+                        );
+                        trace.ready.push(r);
+                    }
+                }
+            }
+        }
+        let EtfTrace {
+            complete,
+            resumed_at,
+            finish,
+            ready_step,
+            commit_step,
+            remaining_preds,
+            order,
+            device_free,
+            link_free,
+            bounds,
+            ready,
+            scan,
+            snapshots,
+        } = trace;
+
+        for step in *resumed_at..n {
+            if step % SNAPSHOT_EVERY == 0 {
+                snapshots.push(ready, device_free, link_free, order, bounds.len());
+            }
+            debug_assert!(!ready.is_empty(), "DAG guarantees progress");
+            // Estimate the earliest start of each scanned ready op (without
+            // committing). A wide frontier is cut down by selecting from
+            // `0..len` in place, so exact b-level ties resolve the same on
+            // every call.
+            scan.clear();
+            scan.extend(0..ready.len());
+            if scan.len() > SCAN_LIMIT {
+                scan.select_nth_unstable_by(SCAN_LIMIT - 1, |&a, &b| {
+                    ready[b].b_level.total_cmp(&ready[a].b_level)
+                });
+                scan.truncate(SCAN_LIMIT);
+            }
+            let mut best: Option<(usize, f64)> = None;
+            for &idx in scan.iter() {
+                let r = &ready[idx];
+                if let Some((src, dst)) = r.missing {
+                    return Err(SimError::MissingLink { src, dst });
+                }
+                let mut est = device_free[r.dev.index()].max(r.data_ready);
+                for &(link, longest) in &bounds[r.bounds.0 as usize..r.bounds.1 as usize] {
+                    est = est.max(link_free[link] + longest);
+                }
+                let better = match best {
+                    None => true,
+                    Some((bidx, bstart)) => {
+                        est < bstart - 1e-12
+                            || (est < bstart + 1e-12 && r.b_level > ready[bidx].b_level)
+                    }
+                };
+                if better {
+                    best = Some((idx, est));
+                }
+            }
+            let (idx, _) = best.expect("ready set is non-empty");
+            let ReadyOp { op, dev, .. } = ready.swap_remove(idx);
+
+            // Commit: transfers first (updating link availability), then the op.
+            let mut start = device_free[dev.index()];
+            for &(p, bytes) in graph.preds_with_bytes(op) {
+                let pdev = placement.device(p);
+                let arrival = if pdev == dev {
+                    finish[p.index()]
+                } else {
+                    let route = self.routes.get(pdev, dev)?;
+                    let link = route.link.index();
+                    let t1 = finish[p.index()].max(link_free[link])
+                        + route.transfer_us(self.comm, bytes);
+                    link_free[link] = t1;
+                    t1
+                };
+                start = start.max(arrival);
+            }
+            finish[op.index()] = start + graph.op(op).compute_us();
+            device_free[dev.index()] = finish[op.index()];
+            order[dev.index()].push(op);
+            commit_step[op.index()] = step as u32;
+
+            for &s in graph.succs(op) {
+                remaining_preds[s.index()] -= 1;
+                if remaining_preds[s.index()] == 0 {
+                    ready_step[s.index()] = (step + 1) as u32;
+                    ready.push(self.ready_op(placement, s, finish, bounds));
+                }
+            }
+        }
+        *complete = true;
+        Ok(())
+    }
 }
 
 #[cfg(test)]

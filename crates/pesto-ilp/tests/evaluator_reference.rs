@@ -11,12 +11,19 @@
 //! report and the same penalized cost, bit for bit. Deterministic cases
 //! check the same on model graphs, whose ops have far more inputs than
 //! the random DAGs draw.
+//!
+//! [`Evaluator::rescore`] resumes a pass from a base placement's trace.
+//! Its oracle is [`Evaluator::cost`], checked above: on the same random
+//! cases and on model graphs, chains of moves (each adopted candidate
+//! becoming the next base, its trace swapped in) must score every
+//! candidate to the same bits, or fail with the same error.
 
+use pesto_coarsen::Coarsening;
 use pesto_cost::CommModel;
 use pesto_graph::{
-    Cluster, DeviceKind, FrozenGraph, OpGraph, OpId, Placement, Plan, ScheduleOrder,
+    Cluster, DeviceId, DeviceKind, FrozenGraph, OpGraph, OpId, Placement, Plan, ScheduleOrder,
 };
-use pesto_ilp::{etf_schedule, splitmix64, Evaluator, ListScheduleResult};
+use pesto_ilp::{etf_schedule, splitmix64, EtfTrace, Evaluator, ListScheduleResult};
 use pesto_sim::{SimError, Simulator};
 use proptest::prelude::*;
 
@@ -288,13 +295,13 @@ proptest! {
 /// The pipeline's coarsening of `graph`: to a quarter of its ops (at
 /// least 200 vertices), parallel fine edges that collapse into one coarse
 /// edge charged the link's fixed latency in bytes.
-fn pipeline_coarsening(graph: &FrozenGraph, comm: &CommModel) -> FrozenGraph {
+fn pipeline_coarsening(graph: &FrozenGraph, comm: &CommModel) -> Coarsening {
     let gg = comm.fit(pesto_graph::LinkType::GpuToGpu);
     let config = pesto_coarsen::CoarsenConfig {
         parallel_edge_penalty_bytes: (gg.beta0 / gg.beta1) as u64,
         ..pesto_coarsen::CoarsenConfig::to_target((graph.op_count() / 4).max(200))
     };
-    pesto_coarsen::coarsen(graph, &config).coarse().clone()
+    pesto_coarsen::coarsen(graph, &config)
 }
 
 /// Model graphs, where the random DAGs above fall short: RNNLM ops reach
@@ -307,7 +314,7 @@ fn fast_etf_matches_the_reference_on_model_graphs() {
     let comm = CommModel::default_v100();
     let rnnlm = pesto_models::ModelSpec::rnnlm(2, 1024);
     let fine = rnnlm.generate_scaled(rnnlm.paper_batch(), 1000, 0.25);
-    let coarse = pipeline_coarsening(&fine, &comm);
+    let coarse = pipeline_coarsening(&fine, &comm).coarse().clone();
     let nasnet = pesto_models::ModelSpec::nasnet(2, 8);
     let nasnet = nasnet.generate(nasnet.paper_batch(), 1000);
     assert_eq!(fine.op_count(), 1_110);
@@ -336,6 +343,226 @@ fn fast_etf_matches_the_reference_on_model_graphs() {
                 assert_eq!(bits(&fast), bits(&reference), "{} seed {k}", graph.name());
                 let cost = eval.cost(&placement).expect("evaluator scores");
                 assert_eq!(cost.to_bits(), reference_cost.to_bits());
+            }
+        }
+    }
+}
+
+/// The incumbent of a chain of moves: a placement, its cost (or the error
+/// scoring it gave) and the trace of its pass.
+struct Base {
+    placement: Placement,
+    cost: f64,
+    trace: EtfTrace,
+}
+
+/// Scores `cand` both ways against `base`: resumed into `spare`, and by a
+/// full [`Evaluator::cost`]. Asserts the two agree bit for bit or fail
+/// alike, and returns the cost when both succeed.
+fn rescore_matches_cost(
+    eval: &Evaluator<'_>,
+    base: &Base,
+    cand: &Placement,
+    spare: &mut EtfTrace,
+) -> Option<f64> {
+    let got = eval.rescore(&base.placement, &base.trace, cand, spare);
+    let want = eval.cost(cand);
+    match (got, want) {
+        (Ok(got), Ok(want)) => {
+            assert_eq!(got.to_bits(), want.to_bits(), "{got} != {want}");
+            Some(got)
+        }
+        (got, want) => {
+            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+            None
+        }
+    }
+}
+
+/// Adopts a scored candidate as the next base, swapping the two traces
+/// the way the searches do.
+fn adopt(base: &mut Base, cand: Placement, cost: f64, spare: &mut EtfTrace) {
+    base.placement = cand;
+    base.cost = cost;
+    std::mem::swap(&mut base.trace, spare);
+}
+
+/// A move of a chain, drawn from `state`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Move {
+    /// The candidate equals its base.
+    Identity,
+    /// An op no edge enters moves: it is ready at step 0.
+    Source,
+    /// A few ops move, each to a random GPU.
+    Group,
+    /// One op moves to another GPU.
+    Flip,
+    /// One op moves to a device the cluster lacks: both sides must fail.
+    OffCluster,
+}
+
+fn draw_move(
+    graph: &FrozenGraph,
+    cluster: &Cluster,
+    base: &Placement,
+    state: &mut u64,
+) -> (Placement, Move) {
+    let gpus = cluster.gpus();
+    let gpu_ops: Vec<OpId> = graph
+        .op_ids()
+        .filter(|&id| graph.op(id).kind() == DeviceKind::Gpu)
+        .collect();
+    let mut draw = |bound: usize| (splitmix64(state) % bound.max(1) as u64) as usize;
+    let mut cand = base.clone();
+    if gpu_ops.is_empty() {
+        return (cand, Move::Identity);
+    }
+    let flip = |cand: &mut Placement, op: OpId, step: usize| {
+        let at = gpus.iter().position(|&g| g == cand.device(op)).unwrap_or(0);
+        cand.set_device(op, gpus[(at + step) % gpus.len()]);
+    };
+    let kind = match draw(16) {
+        0 | 1 => Move::Identity,
+        2..=4 => Move::Source,
+        5 => Move::OffCluster,
+        6..=9 => Move::Group,
+        _ => Move::Flip,
+    };
+    match kind {
+        Move::Identity => {}
+        Move::Source => {
+            let sources: Vec<OpId> = gpu_ops
+                .iter()
+                .copied()
+                .filter(|&id| graph.in_degree(id) == 0)
+                .collect();
+            if sources.is_empty() {
+                return (cand, Move::Identity);
+            }
+            let op = sources[draw(sources.len())];
+            flip(&mut cand, op, 1 + draw(gpus.len() - 1));
+        }
+        Move::OffCluster => {
+            let op = gpu_ops[draw(gpu_ops.len())];
+            cand.set_device(op, DeviceId::from_index(cluster.device_count()));
+        }
+        Move::Group => {
+            for _ in 0..2 + draw(5) {
+                let op = gpu_ops[draw(gpu_ops.len())];
+                cand.set_device(op, gpus[draw(gpus.len())]);
+            }
+        }
+        Move::Flip => {
+            let op = gpu_ops[draw(gpu_ops.len())];
+            flip(&mut cand, op, 1 + draw(gpus.len() - 1));
+        }
+    }
+    (cand, kind)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Chains of at least 10 moves on every shape `arb_case` draws. A
+    /// candidate that scores is adopted when it improves and on a third
+    /// of the others, so later moves resume from swapped-in traces.
+    #[test]
+    fn rescore_is_bit_identical_to_a_full_evaluation(
+        case in arb_case(),
+        moves in 10usize..24,
+        seed in any::<u64>(),
+    ) {
+        let Case { graph, cluster, placement, infinite_links, .. } = case;
+        let eval = Evaluator::new(&graph, &cluster, CommModel::default_v100(), infinite_links);
+        let (cost, trace) = eval.score(&placement).expect("the drawn placement scores");
+        prop_assert_eq!(cost.to_bits(), eval.cost(&placement).unwrap().to_bits());
+        prop_assert_eq!(trace.skipped_steps(), 0);
+        let mut base = Base { placement, cost, trace };
+        let mut spare = EtfTrace::default();
+        let mut state = seed;
+        for _ in 0..moves {
+            let (cand, kind) = draw_move(&graph, &cluster, &base.placement, &mut state);
+            let scored = rescore_matches_cost(&eval, &base, &cand, &mut spare);
+            prop_assert_eq!(scored.is_none(), kind == Move::OffCluster);
+            if kind == Move::Source {
+                prop_assert_eq!(spare.skipped_steps(), 0);
+            }
+            if let Some(cost) = scored {
+                prop_assert!(spare.skipped_steps() < graph.op_count());
+                if cost < base.cost || splitmix64(&mut state).is_multiple_of(3) {
+                    adopt(&mut base, cand, cost, &mut spare);
+                }
+            }
+        }
+    }
+}
+
+/// Refine-style climbs on model graphs: first-improvement flips of whole
+/// coarse groups on the fine graph, and of single vertices on the coarse
+/// graph, on 2 and 4 GPUs. Every candidate, improving or not, is checked
+/// against a full evaluation.
+#[test]
+fn rescored_group_flips_match_full_evaluations_on_model_graphs() {
+    let comm = CommModel::default_v100();
+    let rnnlm = pesto_models::ModelSpec::rnnlm(2, 1024);
+    let nasnet = pesto_models::ModelSpec::nasnet(2, 8);
+    for fine in [
+        rnnlm.generate_scaled(rnnlm.paper_batch(), 1000, 0.25),
+        nasnet.generate(nasnet.paper_batch(), 1000),
+    ] {
+        let coarsening = pipeline_coarsening(&fine, &comm);
+        let coarse = coarsening.coarse();
+        let singletons: Vec<Vec<OpId>> = coarse.op_ids().map(|id| vec![id]).collect();
+        let fine_groups: Vec<Vec<OpId>> = coarse
+            .op_ids()
+            .map(|cv| coarsening.members(cv).to_vec())
+            .collect();
+        for (graph, groups) in [(&fine, &fine_groups), (coarse, &singletons)] {
+            for cluster in [Cluster::two_gpus(), Cluster::homogeneous(4, 16 << 30)] {
+                let gpus = cluster.gpus();
+                let mut state = graph.op_count() as u64;
+                let mut placement = Placement::affinity_default(graph, &cluster);
+                for group in groups {
+                    let g = gpus[(splitmix64(&mut state) % gpus.len() as u64) as usize];
+                    for &id in group {
+                        if graph.op(id).kind() == DeviceKind::Gpu {
+                            placement.set_device(id, g);
+                        }
+                    }
+                }
+                let eval = Evaluator::new(graph, &cluster, comm, false);
+                let (cost, trace) = eval.score(&placement).expect("model placement scores");
+                let mut base = Base {
+                    placement,
+                    cost,
+                    trace,
+                };
+                let mut spare = EtfTrace::default();
+                let (mut checked, mut improved, mut skipped) = (0, 0, 0);
+                for group in groups
+                    .iter()
+                    .filter(|g| graph.op(g[0]).kind() == DeviceKind::Gpu)
+                    .take(40)
+                {
+                    let current = base.placement.device(group[0]);
+                    for &gpu in gpus.iter().filter(|&&g| g != current) {
+                        let mut cand = base.placement.clone();
+                        group.iter().for_each(|&id| cand.set_device(id, gpu));
+                        let cost = rescore_matches_cost(&eval, &base, &cand, &mut spare)
+                            .expect("a flip between GPUs scores");
+                        checked += 1;
+                        skipped += spare.skipped_steps();
+                        if cost < base.cost - 1e-9 {
+                            improved += 1;
+                            adopt(&mut base, cand, cost, &mut spare);
+                            break;
+                        }
+                    }
+                }
+                assert!(checked >= 40, "{}: {checked} flips", graph.name());
+                assert!(improved > 0, "{}: no flip adopted", graph.name());
+                assert!(skipped > 0, "{}: every flip ran from step 0", graph.name());
             }
         }
     }
