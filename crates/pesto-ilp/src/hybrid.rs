@@ -25,7 +25,7 @@
 //! uninterrupted run.
 
 use crate::error::IlpError;
-use crate::listsched::Evaluator;
+use crate::listsched::{EtfTrace, Evaluator};
 use crate::rng::SearchRng;
 use pesto_cost::CommModel;
 use pesto_graph::{Cluster, DeviceKind, FrozenGraph, OpId, Placement, Plan};
@@ -520,7 +520,11 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
     let mut evaluations = 1u64;
     let mut accepted = 0u64;
     let mut unchanged_swaps = 0u64;
-    let mut cur_cost = eval.cost(&placement)?;
+    let mut etf_steps_skipped = 0u64;
+    // The current placement's cost and ETF trace; a candidate resumes from
+    // that trace into `cand_trace`, and the two swap when it is accepted.
+    let (mut cur_cost, mut cur_trace) = eval.score(&placement)?;
+    let mut cand_trace = EtfTrace::default();
     let mut best = match resume {
         // Re-score the saved incumbent (the evaluator is deterministic, so
         // this reproduces the cost the interrupted run held).
@@ -656,7 +660,9 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
             unchanged_swaps += 1;
             cur_cost
         } else {
-            eval.cost(&cand)?
+            let cost = eval.rescore(&placement, &cur_trace, &cand, &mut cand_trace)?;
+            etf_steps_skipped += cand_trace.skipped_steps() as u64;
+            cost
         };
         evaluations += 1;
         let accept = cand_cost < cur_cost
@@ -667,6 +673,9 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
             cur_cost = cand_cost;
             if cur_cost < best.1 {
                 best = (cand.clone(), cur_cost);
+            }
+            if !unchanged {
+                std::mem::swap(&mut cur_trace, &mut cand_trace);
             }
             placement = cand;
         }
@@ -691,6 +700,7 @@ fn anneal_once(task: AnnealTask<'_>) -> ChainOutcome {
     obs.counter_add("hybrid.evaluations", evaluations);
     obs.counter_add("hybrid.accepted", accepted);
     obs.counter_add("hybrid.unchanged_swaps", unchanged_swaps);
+    obs.counter_add("hybrid.etf_steps_skipped", etf_steps_skipped);
     Ok((best.0, best.1, truncated))
 }
 

@@ -7,7 +7,9 @@ use crate::storage::FsStorage;
 use pesto_coarsen::{coarsen_with_stats, CoarsenConfig, Coarsening};
 use pesto_cost::{CommModel, Profiler};
 use pesto_graph::{Cluster, FrozenGraph, GraphError, Placement, Plan};
-use pesto_ilp::{CheckpointSink, Evaluator, IlpError, PestoPlacer, PlacerConfig, SolvePath};
+use pesto_ilp::{
+    CheckpointSink, EtfTrace, Evaluator, IlpError, PestoPlacer, PlacerConfig, SolvePath,
+};
 use pesto_obs::{CancelToken, Obs, RobustMutex, SolverEventKind};
 use pesto_sim::{PipelineStats, SimError, Simulator};
 use std::error::Error;
@@ -405,8 +407,11 @@ pub struct PestoOutcome {
 /// Hill climbing on the fine graph at merged-group granularity: for each
 /// coarse vertex, try moving all its members to each other GPU and keep
 /// the first improvement of the fine placement's [`Evaluator::cost`].
-/// A climb that starts adds its `refine.evaluations` and
-/// `refine.improvements` to `obs` once, when it ends.
+/// Each candidate is scored with [`Evaluator::rescore`] from the
+/// incumbent's ETF trace, adopting the candidate's trace when it improves.
+/// A climb that starts adds its `refine.evaluations`,
+/// `refine.improvements` and `refine.etf_steps_skipped` to `obs` once,
+/// when it ends.
 ///
 /// Returns the refined placement and whether `deadline` cut the climb
 /// short (the incumbent placement is still valid in that case).
@@ -428,7 +433,9 @@ fn refine_by_group_flips(
     }
     let mut evaluations = 1u64;
     let mut improvements = 0u64;
-    let mut best_cost = eval.cost(&placement).map_err(IlpError::from)?;
+    let mut etf_steps_skipped = 0u64;
+    let (mut best_cost, mut best_trace) = eval.score(&placement).map_err(IlpError::from)?;
+    let mut cand_trace = EtfTrace::default();
     let coarse = coarsening.coarse();
     // Visit heavy groups first: they move the makespan the most.
     let mut groups: Vec<pesto_graph::OpId> = coarse
@@ -460,10 +467,14 @@ fn refine_by_group_flips(
                     cand.set_device(f, gpu);
                 }
                 evaluations += 1;
-                let cost = eval.cost(&cand).map_err(IlpError::from)?;
+                let cost = eval
+                    .rescore(&placement, &best_trace, &cand, &mut cand_trace)
+                    .map_err(IlpError::from)?;
+                etf_steps_skipped += cand_trace.skipped_steps() as u64;
                 if cost < best_cost - 1e-9 {
                     improvements += 1;
                     best_cost = cost;
+                    std::mem::swap(&mut best_trace, &mut cand_trace);
                     placement = cand;
                     improved = true;
                     break;
@@ -476,6 +487,7 @@ fn refine_by_group_flips(
     }
     obs.counter_add("refine.evaluations", evaluations);
     obs.counter_add("refine.improvements", improvements);
+    obs.counter_add("refine.etf_steps_skipped", etf_steps_skipped);
     Ok((placement, truncated))
 }
 
@@ -1352,6 +1364,38 @@ mod tests {
         assert!(obs.counter("hybrid.accepted") <= obs.counter("hybrid.evaluations"));
         assert!(obs.counter("refine.evaluations") > 0);
         assert!(obs.counter("refine.improvements") < obs.counter("refine.evaluations"));
+    }
+
+    #[test]
+    fn resumed_etf_steps_are_counted_only_when_enabled() {
+        let graph = ModelSpec::transformer(1, 2, 64).generate(4, 1);
+        let cluster = Cluster::two_gpus();
+        let place = |obs: &Obs| {
+            let config = PestoConfig {
+                obs: obs.clone(),
+                ..PestoConfig::fast()
+            };
+            Pesto::new(config).place(&graph, &cluster).unwrap()
+        };
+        let on = Obs::enabled();
+        let traced = place(&on);
+        // Annealing scores the coarse graph, refinement the fine one. A
+        // resumed candidate skips fewer steps than its graph has ops.
+        let coarse_ops = on.gauge("coarsen.ops_after").unwrap() as u64;
+        for (stage, ops) in [("hybrid", coarse_ops), ("refine", graph.op_count() as u64)] {
+            let skipped = on.counter(&format!("{stage}.etf_steps_skipped"));
+            let evaluations = on.counter(&format!("{stage}.evaluations"));
+            assert!(
+                skipped > 0 && skipped < evaluations * ops,
+                "{stage}: {skipped} steps skipped over {evaluations} evaluations of {ops} ops"
+            );
+        }
+        let off = Obs::disabled();
+        let untraced = place(&off);
+        assert_eq!(off.counter("hybrid.etf_steps_skipped"), 0);
+        assert_eq!(off.counter("refine.etf_steps_skipped"), 0);
+        assert_eq!(untraced.plan, traced.plan);
+        assert_eq!(untraced.makespan_us.to_bits(), traced.makespan_us.to_bits());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::pipeline::PestoError;
 use pesto_cost::CommModel;
 use pesto_graph::{Cluster, DeviceId, DeviceKind, LinkType, OpId, Placement, Plan};
-use pesto_ilp::{Evaluator, IlpError};
+use pesto_ilp::{EtfTrace, Evaluator, IlpError};
 use pesto_sim::{FaultPlan, PerturbationSpec, SimError, Simulator};
 use serde::Serialize;
 use std::time::{Duration, Instant};
@@ -328,9 +328,10 @@ pub fn repair_after_outage(
     // Bounded local search on top of greedy (zero budget skips it): the
     // outage only disturbed the stranded ops and the neighbors they now
     // talk to, so flips are restricted to that region. Each flip is
-    // scored by a full ETF re-schedule on the survivors; first-improvement
-    // hill climbing repeats until a pass yields nothing or the budget
-    // expires. Greedy is only ever replaced by something strictly better.
+    // scored by an ETF re-schedule on the survivors, resumed from the
+    // incumbent's trace; first-improvement hill climbing repeats until a
+    // pass yields nothing or the budget expires. Greedy is only ever
+    // replaced by something strictly better.
     // Ops only move onto GPUs with room, so for a plan that fit before
     // the outage every scored cost is the plain makespan.
     let eval = Evaluator::new(graph, &survivors, comm, false);
@@ -348,7 +349,8 @@ pub fn repair_after_outage(
                 }
             }
         }
-        let mut best_score = eval.cost(&placement).map_err(IlpError::from)?;
+        let (mut best_score, mut best_trace) = eval.score(&placement).map_err(IlpError::from)?;
+        let mut cand_trace = EtfTrace::default();
         let expired = || Instant::now() >= search_deadline;
         'passes: loop {
             let mut improved = false;
@@ -368,9 +370,12 @@ pub fn repair_after_outage(
                     }
                     let mut cand = placement.clone();
                     cand.set_device(op, gpu);
-                    let score = eval.cost(&cand).map_err(IlpError::from)?;
+                    let score = eval
+                        .rescore(&placement, &best_trace, &cand, &mut cand_trace)
+                        .map_err(IlpError::from)?;
                     if score < best_score - 1e-9 {
                         best_score = score;
+                        std::mem::swap(&mut best_trace, &mut cand_trace);
                         used_bytes[current.index()] =
                             used_bytes[current.index()].saturating_sub(mem);
                         used_bytes[gpu.index()] = used_bytes[gpu.index()].saturating_add(mem);
