@@ -11,7 +11,7 @@
 //! restart given the same total budget. `drift-recovery` slows the
 //! hottest ops past the profile's dispersion threshold, checks that the
 //! drift detector flags them, and compares the stale plan under the
-//! observed times against a from-scratch re-solve under a deadline.
+//! observed times against a from-scratch placement under a time budget.
 //!
 //! `gap` prints the branch-and-bound gap-over-time column set per warm-up
 //! strategy (cold vs. hybrid-warm-started), from the telemetry event
@@ -1231,15 +1231,16 @@ fn kill_resume(cluster: &Cluster, comm: &CommModel, quick: bool) {
 /// Drift-recovery experiment (beyond the paper): the hottest GPU ops run
 /// 2.5x slower than their fitted profile (contention, thermal
 /// throttling), the drift detector flags them, and the running plan,
-/// simulated under the observed times, races a from-scratch re-solve of
-/// the observed graph under a deadline. A `slowdown` of 1.0 is the
-/// control: clean observations must flag nothing.
+/// simulated under the observed times, races a from-scratch
+/// `Pesto::place` of the observed graph (profiling, coarsening, search,
+/// refinement) under a time budget. A `slowdown` of 1.0 is the control:
+/// clean observations must flag nothing.
 fn drift_recovery(cluster: &Cluster, comm: &CommModel, quick: bool) {
     use pesto::cost::{detect_drift, DriftConfig};
     use pesto::graph::DeviceKind;
-    use pesto::ilp::{HybridConfig, HybridSolver};
+    use pesto::PestoConfig;
 
-    println!("\n== drift-recovery: drift detection, stale plan vs from-scratch re-solve ==");
+    println!("\n== drift-recovery: drift detection, stale plan vs from-scratch placement ==");
     let spec = if quick {
         ModelSpec::nmt(2, 256)
     } else {
@@ -1269,10 +1270,13 @@ fn drift_recovery(cluster: &Cluster, comm: &CommModel, quick: bool) {
         budget_ms: f64,
         stale_ms: f64,
         scratch_ms: Option<f64>,
+        /// The re-placement's degradation tag: `None` when its search
+        /// ran to completion within the budget.
+        scratch_degradation: Option<&'static str>,
     }
     let mut rows: Vec<Row> = Vec::new();
     println!(
-        "{:<9} {:>8} {:>10} {:>10}",
+        "{:<9} {:>8} {:>10} {:>10}  scratch path",
         "slowdown", "flagged", "stale ms", "scratch ms"
     );
     for slowdown in [1.0f64, 2.5] {
@@ -1312,25 +1316,34 @@ fn drift_recovery(cluster: &Cluster, comm: &CommModel, quick: bool) {
                 continue;
             }
         };
-        // Forget the running plan and re-solve the observed graph from
-        // nothing under the deadline.
-        let scratch_ms = HybridSolver::new(HybridConfig {
-            iterations: 2_000_000,
-            restarts: 2,
-            deadline: Some(Instant::now() + budget),
-            ..HybridConfig::default()
-        })
-        .solve(&observed, cluster, comm)
-        .ok()
-        .and_then(|o| Simulator::new(&observed, cluster, *comm).run(&o.plan).ok())
-        .map(|r| r.makespan_us / 1e3);
+        // Forget the running plan and place the observed graph from
+        // nothing, through the whole pipeline, under the budget.
+        let scratch = Pesto::with_comm(
+            *comm,
+            PestoConfig {
+                time_budget: Some(budget),
+                ..pesto_config(quick)
+            },
+        )
+        .place(&observed, cluster);
+        let (scratch_ms, scratch_degradation) = match &scratch {
+            Ok(o) => (
+                Some(o.makespan_us / 1e3),
+                o.degradation.as_ref().map(|d| d.tag()),
+            ),
+            Err(e) => {
+                println!("{slowdown:<9} re-placement failed: {e}");
+                (None, None)
+            }
+        };
 
         println!(
-            "{:<9} {:>8} {:>10.1} {:>10}",
+            "{:<9} {:>8} {:>10.1} {:>10}  {}",
             slowdown,
             report.drifted.len(),
             stale_ms,
             scratch_ms.map_or("-".into(), |s| format!("{s:.1}")),
+            scratch_degradation.unwrap_or("searched"),
         );
         rows.push(Row {
             slowdown,
@@ -1339,11 +1352,13 @@ fn drift_recovery(cluster: &Cluster, comm: &CommModel, quick: bool) {
             budget_ms: budget.as_secs_f64() * 1e3,
             stale_ms,
             scratch_ms,
+            scratch_degradation,
         });
     }
     println!(
         "(stale ms: the running plan under the observed times; scratch ms: a from-scratch \
-         re-solve of the observed graph under a {} ms deadline)",
+         Pesto::place of the observed graph under a {} ms budget; scratch path: `searched`, \
+         or the degradation the budget forced)",
         budget.as_millis()
     );
     record_json("drift_recovery", &rows);
