@@ -431,18 +431,15 @@ impl EtfTrace {
             .zip(&base.order)
             .zip(snaps.order_len(s))
         {
-            mine.clear();
-            mine.extend_from_slice(&theirs[..len as usize]);
+            copy_into(mine, &theirs[..len as usize]);
         }
-        self.device_free.clear();
-        self.device_free.extend_from_slice(snaps.device_free(s));
-        self.link_free.clear();
-        self.link_free.extend_from_slice(snaps.link_free(s));
-        self.bounds.clear();
-        self.bounds
-            .extend_from_slice(&base.bounds[..snaps.bounds_len[s] as usize]);
-        self.ready.clear();
-        self.ready.extend_from_slice(snaps.ready(s));
+        copy_into(&mut self.device_free, snaps.device_free(s));
+        copy_into(&mut self.link_free, snaps.link_free(s));
+        copy_into(
+            &mut self.bounds,
+            &base.bounds[..snaps.bounds_len[s] as usize],
+        );
+        copy_into(&mut self.ready, snaps.ready(s));
         self.snapshots.copy_prefix(snaps, s);
     }
 }
@@ -525,24 +522,19 @@ impl Snapshots {
         };
         self.devices = devices;
         self.links = links;
-        self.ready.clear();
-        self.ready
-            .extend_from_slice(&other.ready[..ready_end as usize]);
-        self.ready_end.clear();
-        self.ready_end.extend_from_slice(&other.ready_end[..count]);
-        self.device_free.clear();
-        self.device_free
-            .extend_from_slice(&other.device_free[..count * devices]);
-        self.link_free.clear();
-        self.link_free
-            .extend_from_slice(&other.link_free[..count * links]);
-        self.order_len.clear();
-        self.order_len
-            .extend_from_slice(&other.order_len[..count * devices]);
-        self.bounds_len.clear();
-        self.bounds_len
-            .extend_from_slice(&other.bounds_len[..count]);
+        copy_into(&mut self.ready, &other.ready[..ready_end as usize]);
+        copy_into(&mut self.ready_end, &other.ready_end[..count]);
+        copy_into(&mut self.device_free, &other.device_free[..count * devices]);
+        copy_into(&mut self.link_free, &other.link_free[..count * links]);
+        copy_into(&mut self.order_len, &other.order_len[..count * devices]);
+        copy_into(&mut self.bounds_len, &other.bounds_len[..count]);
     }
+}
+
+/// Makes `dst` a copy of `src`, reusing its allocation.
+fn copy_into<T: Copy>(dst: &mut Vec<T>, src: &[T]) {
+    dst.clear();
+    dst.extend_from_slice(src);
 }
 
 /// The placement-independent inputs of the ETF pass behind
