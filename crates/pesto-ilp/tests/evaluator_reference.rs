@@ -348,8 +348,8 @@ fn fast_etf_matches_the_reference_on_model_graphs() {
     }
 }
 
-/// The incumbent of a chain of moves: a placement, its cost (or the error
-/// scoring it gave) and the trace of its pass.
+/// The incumbent of a chain of moves: a placement, its cost and the trace
+/// of its pass.
 struct Base {
     placement: Placement,
     cost: f64,
