@@ -112,11 +112,9 @@ fn main() {
 }
 
 /// Wall-clock cost of the telemetry layer's hot paths, disabled vs
-/// enabled — a criterion-free companion to `benches/obs_overhead.rs`
-/// that runs in the offline container and records
-/// `results/obs_overhead.json`. Each case reports ns per *operation*
-/// (one span+counter+histogram record, one event push, one snapshot or
-/// render), not per batch.
+/// enabled; records `results/obs_overhead.json`. Each case reports ns
+/// per *operation* (one span+counter+histogram record, one event push,
+/// one snapshot or render), not per batch.
 fn obs_overhead(quick: bool) {
     use pesto::obs::{Obs, SolverEventKind};
 

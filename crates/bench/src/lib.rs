@@ -232,8 +232,7 @@ pub fn pesto_timed(
 
 /// Schema version of the `results/` record envelope, as `major.minor`.
 /// Every record written by [`record_json`] is wrapped in
-/// `{schema_version, name, data}`; [`load_record_json`] refuses majors it
-/// does not understand.
+/// `{schema_version, name, data}`.
 pub const RESULTS_SCHEMA_VERSION: &str = "1.0";
 
 #[derive(Serialize)]
@@ -264,172 +263,9 @@ pub fn record_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
-/// Why [`load_record_json`] rejected a record file. Each variant carries
-/// the offending path so batch loaders can report which record of many
-/// was bad.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecordError {
-    /// The file could not be read at all.
-    Io {
-        /// Path of the unreadable record.
-        path: PathBuf,
-        /// Stringified I/O error.
-        message: String,
-    },
-    /// The file has no `schema_version` field — it is not a
-    /// [`record_json`] envelope.
-    MissingVersion {
-        /// Path of the envelope-less file.
-        path: PathBuf,
-    },
-    /// The record's schema major differs from
-    /// [`RESULTS_SCHEMA_VERSION`]'s. The gate runs *before* the parse, so
-    /// a future-format record fails cleanly.
-    UnsupportedVersion {
-        /// Path of the incompatible record.
-        path: PathBuf,
-        /// The version string found in the file.
-        found: String,
-        /// The major this build reads.
-        supported_major: u64,
-    },
-    /// The version gate passed but the JSON itself would not parse.
-    Parse {
-        /// Path of the malformed record.
-        path: PathBuf,
-        /// Stringified parse error.
-        message: String,
-    },
-}
-
-impl std::fmt::Display for RecordError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecordError::Io { path, message } => {
-                write!(f, "cannot read {}: {message}", path.display())
-            }
-            RecordError::MissingVersion { path } => {
-                write!(f, "{}: no schema_version field", path.display())
-            }
-            RecordError::UnsupportedVersion {
-                path,
-                found,
-                supported_major,
-            } => write!(
-                f,
-                "{}: unsupported schema version {found:?} (this build reads major \
-                 {supported_major})",
-                path.display()
-            ),
-            RecordError::Parse { path, message } => {
-                write!(f, "cannot parse {}: {message}", path.display())
-            }
-        }
-    }
-}
-
-impl std::error::Error for RecordError {}
-
-/// Loads a record written by [`record_json`], returning the raw envelope
-/// JSON after checking its schema version.
-///
-/// # Errors
-///
-/// A [`RecordError`] naming the problem: unreadable file
-/// ([`RecordError::Io`]), missing `schema_version`
-/// ([`RecordError::MissingVersion`]), a major this build does not
-/// understand ([`RecordError::UnsupportedVersion`]), or unparseable JSON
-/// ([`RecordError::Parse`]). The version gate runs *before* the parse, so
-/// a future-format record fails cleanly.
-pub fn load_record_json(path: &std::path::Path) -> Result<serde_json::Value, RecordError> {
-    let raw = fs::read_to_string(path).map_err(|e| RecordError::Io {
-        path: path.to_path_buf(),
-        message: e.to_string(),
-    })?;
-    let version = extract_schema_version(&raw).ok_or_else(|| RecordError::MissingVersion {
-        path: path.to_path_buf(),
-    })?;
-    let ours: u64 = RESULTS_SCHEMA_VERSION
-        .split('.')
-        .next()
-        .and_then(|m| m.parse().ok())
-        .expect("our own version parses");
-    match version
-        .split('.')
-        .next()
-        .and_then(|m| m.parse::<u64>().ok())
-    {
-        Some(major) if major == ours => {}
-        _ => {
-            return Err(RecordError::UnsupportedVersion {
-                path: path.to_path_buf(),
-                found: version,
-                supported_major: ours,
-            })
-        }
-    }
-    serde_json::from_str(&raw).map_err(|e| RecordError::Parse {
-        path: path.to_path_buf(),
-        message: e.to_string(),
-    })
-}
-
-/// Pulls the `schema_version` string out of raw record JSON without a
-/// full parse (the writer emits it as a plain, escape-free string).
-fn extract_schema_version(json: &str) -> Option<String> {
-    let key = "\"schema_version\"";
-    let at = json.find(key)? + key.len();
-    let rest = json[at..].trim_start().strip_prefix(':')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn record_loader_checks_versions_before_parsing() {
-        let path =
-            std::env::temp_dir().join(format!("bench-record-test-{}.json", std::process::id()));
-        std::fs::write(
-            &path,
-            r#"{"schema_version": "1.3", "name": "x", "data": [1, 2]}"#,
-        )
-        .unwrap();
-        // Same major, newer minor: accepted.
-        load_record_json(&path).expect("minor bumps are compatible");
-        // Future major: rejected before any parse, with the typed variant
-        // carrying the found version and the supported major.
-        std::fs::write(
-            &path,
-            r#"{"schema_version": "2.0", "name": "x", "data": []}"#,
-        )
-        .unwrap();
-        match load_record_json(&path).unwrap_err() {
-            RecordError::UnsupportedVersion {
-                found,
-                supported_major,
-                ..
-            } => {
-                assert_eq!(found, "2.0");
-                assert_eq!(supported_major, 1);
-            }
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
-        }
-        // No version field at all: also a typed, clean error.
-        std::fs::write(&path, r#"{"name": "x"}"#).unwrap();
-        assert!(matches!(
-            load_record_json(&path).unwrap_err(),
-            RecordError::MissingVersion { .. }
-        ));
-        // Unreadable path: Io, and Display names the path.
-        let missing = std::env::temp_dir().join("bench-record-test-does-not-exist.json");
-        let err = load_record_json(&missing).unwrap_err();
-        assert!(matches!(err, RecordError::Io { .. }));
-        assert!(err.to_string().contains("bench-record-test-does-not-exist"));
-        let _ = std::fs::remove_file(&path);
-    }
 
     #[test]
     fn variant_row_helpers() {

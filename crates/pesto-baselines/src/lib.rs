@@ -10,8 +10,8 @@
 //!   (`m_etf`), and small-communication-time placement (`m_sct`).
 //! * naive — the Figure 2(b) strawman: hop-count critical-path
 //!   priority, blind to compute times.
-//! * random — uniform random placement and the random-search stand-in
-//!   for learning-based approaches (used for placement-time comparisons).
+//! * random — uniform random affinity-respecting placement (Figure 2's
+//!   random-placement point).
 //!
 //! All baselines return a [`Plan`][pesto_graph::Plan]; they never fail on memory — OOM is
 //! detected downstream by the simulator, exactly like running the real
@@ -29,4 +29,4 @@ mod random;
 pub use baechi::{m_etf, m_sct, m_topo, BaechiHeuristic};
 pub use expert::expert;
 pub use naive::naive_critical_path;
-pub use random::{random_placement, random_search, RandomSearchOutcome};
+pub use random::random_placement;

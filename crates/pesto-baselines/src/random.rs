@@ -1,9 +1,6 @@
-//! Random placement and the random-search stand-in for learning-based
-//! placement approaches.
+//! Random placement.
 
-use pesto_cost::CommModel;
 use pesto_graph::{Cluster, DeviceKind, FrozenGraph, Placement, Plan};
-use pesto_sim::Simulator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -18,51 +15,6 @@ pub fn random_placement(graph: &FrozenGraph, cluster: &Cluster, seed: u64) -> Pl
         }
     }
     Plan::placement_only(placement)
-}
-
-/// Outcome of a random search.
-#[derive(Debug, Clone)]
-pub struct RandomSearchOutcome {
-    /// Best plan found.
-    pub plan: Plan,
-    /// Its simulated makespan, µs.
-    pub makespan_us: f64,
-    /// Trials evaluated.
-    pub trials: usize,
-}
-
-/// Random search over placements: sample `trials` random placements,
-/// simulate each, keep the best. This is the structural stand-in for the
-/// learning-based approaches (the paper's RNN-based and Placeto): an
-/// expensive black-box search whose cost scales with the number of
-/// evaluated placements — used for the Table 2 placement-time comparison.
-pub fn random_search(
-    graph: &FrozenGraph,
-    cluster: &Cluster,
-    comm: &CommModel,
-    trials: usize,
-    seed: u64,
-) -> RandomSearchOutcome {
-    let sim = Simulator::new(graph, cluster, *comm).with_memory_check(false);
-    let mut best: Option<(Plan, f64)> = None;
-    for t in 0..trials.max(1) {
-        let plan = random_placement(graph, cluster, seed.wrapping_add(t as u64));
-        if let Ok(report) = sim.run(&plan) {
-            // Penalize OOM placements heavily instead of discarding, so the
-            // search always returns something.
-            let oom = !plan.placement.oom_devices(graph, cluster).is_empty();
-            let cost = report.makespan_us * if oom { 1e3 } else { 1.0 };
-            if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-                best = Some((plan, cost));
-            }
-        }
-    }
-    let (plan, makespan_us) = best.expect("at least one trial simulates");
-    RandomSearchOutcome {
-        plan,
-        makespan_us,
-        trials: trials.max(1),
-    }
 }
 
 #[cfg(test)]
@@ -87,16 +39,5 @@ mod tests {
         a.validate(&g, &cluster).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn more_trials_never_hurt() {
-        let g = wide();
-        let cluster = Cluster::two_gpus();
-        let comm = CommModel::default_v100();
-        let few = random_search(&g, &cluster, &comm, 2, 7);
-        let many = random_search(&g, &cluster, &comm, 40, 7);
-        assert!(many.makespan_us <= few.makespan_us + 1e-9);
-        assert_eq!(many.trials, 40);
     }
 }
