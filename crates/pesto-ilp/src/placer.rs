@@ -7,7 +7,6 @@ use crate::hybrid::{HybridConfig, HybridSearchState, HybridSolver};
 use pesto_cost::CommModel;
 use pesto_graph::{Cluster, FrozenGraph, Plan};
 use pesto_milp::MilpCheckpoint;
-use pesto_obs::{CancelToken, Obs};
 use pesto_sim::Simulator;
 use std::time::{Duration, Instant};
 
@@ -33,43 +32,26 @@ pub enum SolvePath {
     Sharded,
 }
 
+/// Instances with at most this many operations (and 2 GPUs) go through
+/// the exact ILP; larger ones use the hybrid path.
+const EXACT_MAX_OPS: usize = 12;
+
 /// Driver configuration.
-#[derive(Debug, Clone)]
+///
+/// The run-wide inputs live in [`HybridConfig`]: its `deadline` bounds
+/// the whole placement (an exact solve is skipped when less than ~50 ms
+/// remain, and the MILP gets whatever time is left), and its `cancel`
+/// token and `obs` handle also reach the MILP unless
+/// [`IlpConfig::milp`] carries its own. A raised token makes
+/// [`PestoPlacer::place`] return [`IlpError::Cancelled`] instead of a
+/// plan.
+#[derive(Debug, Clone, Default)]
 pub struct PlacerConfig {
-    /// Instances with at most this many operations (and 2 GPUs) go through
-    /// the exact ILP; larger ones use the hybrid path.
-    pub exact_max_ops: usize,
     /// Exact-ILP settings.
     pub ilp: IlpConfig,
-    /// Hybrid-search settings.
+    /// Hybrid-search settings, and the placement's deadline, cancellation
+    /// token and telemetry sink.
     pub hybrid: HybridConfig,
-    /// Wall-clock deadline for the whole placement. The hybrid search polls
-    /// it between annealing iterations (via [`HybridConfig::deadline`],
-    /// which this field also seeds when set) and the exact path's MILP gets
-    /// whatever time remains; an exact solve is skipped entirely when less
-    /// than ~50 ms remain.
-    pub deadline: Option<Instant>,
-    /// Cooperative cancellation, propagated to the hybrid and MILP
-    /// sub-solvers (unless those configs carry their own token). A raised
-    /// token makes [`PestoPlacer::place`] return [`IlpError::Cancelled`]
-    /// instead of a plan.
-    pub cancel: Option<CancelToken>,
-    /// Telemetry sink, propagated to the hybrid and MILP sub-solvers
-    /// (unless those configs carry their own enabled handle).
-    pub obs: Obs,
-}
-
-impl Default for PlacerConfig {
-    fn default() -> Self {
-        PlacerConfig {
-            exact_max_ops: 12,
-            ilp: IlpConfig::default(),
-            hybrid: HybridConfig::default(),
-            deadline: None,
-            cancel: None,
-            obs: Obs::disabled(),
-        }
-    }
 }
 
 /// A produced plan with its provenance and measured quality.
@@ -119,11 +101,6 @@ impl PestoPlacer {
         PestoPlacer { comm, config }
     }
 
-    /// The driver configuration.
-    pub fn config(&self) -> &PlacerConfig {
-        &self.config
-    }
-
     /// Jointly places and schedules `graph` on `cluster`.
     ///
     /// Small two-GPU instances are solved exactly (warm-started by a quick
@@ -140,12 +117,12 @@ impl PestoPlacer {
     ///   path's B&B;
     /// * [`IlpError::Graph`] for malformed inputs.
     pub fn place(&self, graph: &FrozenGraph, cluster: &Cluster) -> Result<PlaceOutcome, IlpError> {
-        let obs = &self.config.obs;
+        let run = &self.config.hybrid;
+        let obs = &run.obs;
         let mut span = obs.span("placer.place");
         span.set_attr("ops", graph.op_count());
         span.set_attr("gpus", cluster.gpu_count());
-        let mut use_exact =
-            cluster.gpu_count() == 2 && graph.op_count() <= self.config.exact_max_ops;
+        let mut use_exact = cluster.gpu_count() == 2 && graph.op_count() <= EXACT_MAX_OPS;
         let remaining = |d: Instant| {
             d.checked_duration_since(Instant::now())
                 .unwrap_or(Duration::ZERO)
@@ -153,30 +130,18 @@ impl PestoPlacer {
         let mut deadline_hit = false;
 
         // Hybrid always runs: it is the fallback and the warm start. The
-        // exact path swaps in the quick profile but must keep the
-        // crash-safety fields (checkpoint cadence/sink, resume state) the
-        // caller configured.
-        let mut hybrid_cfg = if use_exact {
+        // exact path only needs a quick warm start, so it swaps in the
+        // quick search effort and keeps everything else.
+        let hybrid_cfg = if use_exact {
+            let quick = HybridConfig::quick();
             HybridConfig {
-                checkpoint_every: self.config.hybrid.checkpoint_every,
-                checkpoint_sink: self.config.hybrid.checkpoint_sink.clone(),
-                resume_from: self.config.hybrid.resume_from.clone(),
-                initial_placements: self.config.hybrid.initial_placements.clone(),
-                cancel: self.config.hybrid.cancel.clone(),
-                ..HybridConfig::quick()
+                iterations: quick.iterations,
+                restarts: quick.restarts,
+                ..run.clone()
             }
         } else {
-            self.config.hybrid.clone()
+            run.clone()
         };
-        if hybrid_cfg.deadline.is_none() {
-            hybrid_cfg.deadline = self.config.deadline;
-        }
-        if hybrid_cfg.cancel.is_none() {
-            hybrid_cfg.cancel = self.config.cancel.clone();
-        }
-        if !hybrid_cfg.obs.is_enabled() {
-            hybrid_cfg.obs = obs.clone();
-        }
         let hybrid = HybridSolver::new(hybrid_cfg).solve(graph, cluster, &self.comm)?;
         deadline_hit |= hybrid.deadline_hit;
 
@@ -192,7 +157,7 @@ impl PestoPlacer {
         // work; keep the hybrid incumbent instead.
         const MIN_EXACT_BUDGET: Duration = Duration::from_millis(50);
         if use_exact {
-            if let Some(d) = self.config.deadline {
+            if let Some(d) = run.deadline {
                 if remaining(d) < MIN_EXACT_BUDGET {
                     use_exact = false;
                     deadline_hit = true;
@@ -216,9 +181,9 @@ impl PestoPlacer {
                 milp_cfg.obs = obs.clone();
             }
             if milp_cfg.cancel.is_none() {
-                milp_cfg.cancel = self.config.cancel.clone();
+                milp_cfg.cancel = run.cancel.clone();
             }
-            if let Some(d) = self.config.deadline {
+            if let Some(d) = run.deadline {
                 milp_cfg.time_limit = milp_cfg.time_limit.min(remaining(d));
             }
             // On infeasibility (e.g. the balance rule admits no split) or
@@ -234,7 +199,7 @@ impl PestoPlacer {
                     milp_checkpoint = Some(outcome.milp_checkpoint.clone());
                     proven = outcome.proven_optimal;
                     deadline_hit |= !outcome.proven_optimal
-                        && self.config.deadline.is_some_and(|d| remaining(d).is_zero());
+                        && run.deadline.is_some_and(|d| remaining(d).is_zero());
                     // Keep whichever plan actually simulates faster (the
                     // model's free transfer ordering can differ from FCFS).
                     if simulated <= best_makespan {
@@ -319,7 +284,10 @@ mod tests {
         let g = g.freeze().unwrap();
         let cluster = Cluster::two_gpus();
         let cfg = PlacerConfig {
-            deadline: Some(Instant::now()),
+            hybrid: HybridConfig {
+                deadline: Some(Instant::now()),
+                ..HybridConfig::default()
+            },
             ..PlacerConfig::default()
         };
         let out = PestoPlacer::with_config(comm(), cfg)

@@ -75,7 +75,7 @@ pub use solve::RegionSolution;
 pub use stitch::StitchOutcome;
 
 /// Sharding knobs, carried by `pesto`'s `PestoConfig::shard`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardConfig {
     /// Maximum fine ops per region. Graphs at or under the cap solve as a
     /// single region (monolithic).
@@ -84,11 +84,6 @@ pub struct ShardConfig {
     pub region_coarsen_target: usize,
     /// Annealing iterations per region sub-solve.
     pub region_iterations: usize,
-    /// Independent annealing restarts per region sub-solve.
-    pub region_restarts: usize,
-    /// Boundary-refinement sweeps over the seam ops during stitching
-    /// (the boundary-refine budget; `0` disables refinement).
-    pub boundary_passes: usize,
 }
 
 impl Default for ShardConfig {
@@ -97,8 +92,6 @@ impl Default for ShardConfig {
             region_cap: 1200,
             region_coarsen_target: 160,
             region_iterations: 2500,
-            region_restarts: 1,
-            boundary_passes: 2,
         }
     }
 }
@@ -254,11 +247,6 @@ impl Sharder {
         Sharder { comm, config }
     }
 
-    /// The sharding configuration.
-    pub fn config(&self) -> &ShardConfig {
-        &self.config
-    }
-
     /// Places `graph` on `cluster` by partition → solve → stitch.
     ///
     /// # Errors
@@ -326,7 +314,6 @@ impl Sharder {
             &self.comm,
             &part,
             &solutions,
-            &self.config,
             global_deadline,
             obs,
         )?;

@@ -42,6 +42,9 @@ pub struct RegionSolution {
     pub boundary_edges: usize,
 }
 
+/// Independent annealing restarts per region sub-solve.
+const REGION_RESTARTS: usize = 1;
+
 /// Even-split floor: every region gets at least this fraction of its
 /// even share of the solve budget, regardless of critical-path weight.
 const EVEN_SHARE_FLOOR: f64 = 0.3;
@@ -191,7 +194,7 @@ fn solve_one(
     let placer_cfg = PlacerConfig {
         hybrid: HybridConfig {
             iterations: config.region_iterations,
-            restarts: config.region_restarts,
+            restarts: REGION_RESTARTS,
             seed: seed.wrapping_add(region.index as u64),
             initial_placements: vec![msct_coarse.placement.clone()],
             deadline,
@@ -199,9 +202,6 @@ fn solve_one(
             obs: obs.clone(),
             ..HybridConfig::default()
         },
-        deadline,
-        cancel: cancel.clone(),
-        obs: obs.clone(),
         ..PlacerConfig::default()
     };
     let placer = PestoPlacer::with_config(*comm, placer_cfg);

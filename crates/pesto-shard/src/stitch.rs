@@ -25,11 +25,14 @@
 
 use crate::partition::PartitionResult;
 use crate::solve::RegionSolution;
-use crate::{ShardConfig, ShardError};
+use crate::ShardError;
 use pesto_cost::CommModel;
 use pesto_graph::{Cluster, DeviceId, DeviceKind, FrozenGraph, OpId, Placement};
 use pesto_obs::Obs;
 use std::time::Instant;
+
+/// First-improvement sweeps of the boundary refinement over the seam ops.
+const BOUNDARY_PASSES: usize = 2;
 
 /// The stitched global placement plus refinement statistics.
 #[derive(Debug, Clone)]
@@ -160,7 +163,6 @@ pub(crate) fn stitch(
     comm: &CommModel,
     part: &PartitionResult,
     solutions: &[RegionSolution],
-    config: &ShardConfig,
     deadline: Option<Instant>,
     obs: &Obs,
 ) -> Result<StitchOutcome, ShardError> {
@@ -188,7 +190,7 @@ pub(crate) fn stitch(
     let mut refine_moves = 0usize;
     let mut deadline_hit = false;
     let gpus = cluster.gpus();
-    'passes: for _ in 0..config.boundary_passes {
+    'passes: for _ in 0..BOUNDARY_PASSES {
         let mut improved = false;
         for &op in &boundary {
             if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -325,6 +327,7 @@ mod tests {
     use super::*;
     use crate::partition::partition;
     use crate::solve::solve_regions;
+    use crate::ShardConfig;
     use pesto_graph::OpGraph;
 
     fn chain(n: usize, mem: u64) -> FrozenGraph {
@@ -367,7 +370,6 @@ mod tests {
             &comm,
             &part,
             &sols,
-            &cfg,
             None,
             &Obs::disabled(),
         )
@@ -420,7 +422,6 @@ mod tests {
             &comm,
             &part,
             &sols,
-            &cfg,
             None,
             &Obs::disabled(),
         )

@@ -30,8 +30,7 @@
 //! (double-buffered memory, weight updates as per-step barriers) to
 //! measure sustained throughput instead of one-step latency:
 //! [`evaluate_plan_pipelined`] reports the fill / steady-state / drain
-//! breakdown, [`PestoConfig::pipeline_steps`] records it on
-//! [`PestoOutcome::pipeline`], and [`RobustnessConfig::steps`] makes the
+//! breakdown of a placed plan, and [`RobustnessConfig::steps`] makes the
 //! fault sweep rank plans by steady-state step time.
 //!
 //! ## Quickstart

@@ -11,10 +11,17 @@ use pesto_ilp::{
     CheckpointSink, EtfTrace, Evaluator, IlpError, PestoPlacer, PlacerConfig, SolvePath,
 };
 use pesto_obs::{CancelToken, Obs, RobustMutex, SolverEventKind};
-use pesto_sim::{PipelineStats, SimError, Simulator};
+use pesto_sim::{SimError, Simulator};
 use std::error::Error;
 use std::fmt;
 use std::time::{Duration, Instant};
+
+/// When a coarse vertex contains more than this many original ops, Pesto
+/// keeps the placement but falls back to framework-default scheduling
+/// (paper §3.3: "we lose out on scheduling opportunities due to
+/// coarsening, and thus instead employ the default TensorFlow
+/// scheduling").
+const MAX_MEMBERS_FOR_SCHEDULING: usize = 200;
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
@@ -24,12 +31,6 @@ pub struct PestoConfig {
     /// Profiling iterations used to estimate op times (paper: 100). `None`
     /// trusts the graph's compute times as-is.
     pub profiler_iterations: Option<usize>,
-    /// When a coarse vertex contains more than this many original ops,
-    /// Pesto keeps the placement but falls back to framework-default
-    /// scheduling (paper §3.3: "we lose out on scheduling opportunities due
-    /// to coarsening, and thus instead employ the default TensorFlow
-    /// scheduling").
-    pub max_members_for_scheduling: usize,
     /// Placement solver configuration.
     pub placer: PlacerConfig,
     /// Worker threads for the placement solvers. `1` (the default) keeps
@@ -56,13 +57,6 @@ pub struct PestoConfig {
     /// [`PestoOutcome::degradation`] instead of erroring out. `None` (the
     /// default) means run to completion.
     pub time_budget: Option<Duration>,
-    /// When greater than 1, the final honest evaluation additionally runs
-    /// the plan for this many *pipelined* training steps (see
-    /// [`pesto_sim::Simulator::with_steps`]) and records the fill /
-    /// steady-state / drain breakdown in [`PestoOutcome::pipeline`].
-    /// [`PestoOutcome::makespan_us`] stays the single-step time either
-    /// way. Defaults to 1 (no pipelined evaluation).
-    pub pipeline_steps: usize,
     /// Hierarchical sharded placement for paper-scale graphs. When set,
     /// graphs larger than [`pesto_shard::ShardConfig::region_cap`] are
     /// partitioned into regions, each region is solved independently
@@ -106,14 +100,12 @@ impl Default for PestoConfig {
         PestoConfig {
             coarsen_target: 800,
             profiler_iterations: Some(100),
-            max_members_for_scheduling: 200,
             placer: PlacerConfig::default(),
             solver_threads: 1,
             seed: 0xbe57,
             refinement_passes: 2,
             congestion_aware: true,
             time_budget: None,
-            pipeline_steps: 1,
             shard: None,
             checkpoint: None,
             cancel: None,
@@ -376,24 +368,12 @@ pub struct PestoOutcome {
     pub max_member_count: usize,
     /// Which solver path produced the coarse plan.
     pub path: SolvePath,
-    /// Whether explicit Pesto scheduling was kept (vs framework-default
-    /// fallback for very coarse merges).
-    pub explicit_schedule: bool,
     /// Why (if at all) the pipeline fell back from its preferred path.
     /// `None` means the full search ran to completion.
     pub degradation: Option<DegradationReason>,
     /// Whether this run warm-started from a [`PestoConfig::checkpoint`]
     /// file (as opposed to searching from scratch).
     pub resumed: bool,
-    /// Fill / steady-state / drain breakdown of a
-    /// [`PestoConfig::pipeline_steps`]-step pipelined run of the plan.
-    /// `None` when `pipeline_steps <= 1`.
-    pub pipeline: Option<PipelineStats>,
-    /// Per-op mean observed compute times from the pipelined run's spans
-    /// (`None` entries for ops with no measurement), ready to feed
-    /// [`detect_drift`](pesto_cost::detect_drift) without hand-built
-    /// vectors. `None` as a whole when `pipeline_steps <= 1`.
-    pub observed_op_us: Option<Vec<Option<f64>>>,
     /// Per-stage wall time of this run, in execution order. Populated on
     /// every run — including degraded ones, which skip the search stages —
     /// regardless of whether [`PestoConfig::obs`] is enabled.
@@ -515,11 +495,6 @@ impl Pesto {
         Pesto { comm, config }
     }
 
-    /// The communication model in use.
-    pub fn comm(&self) -> &CommModel {
-        &self.comm
-    }
-
     /// Emits the telemetry `Degradation` event for `reason`, tagged with
     /// how much of the [`PestoConfig::time_budget`] deadline remained at
     /// the moment the pipeline gave up (negative-or-zero budgets and
@@ -614,11 +589,10 @@ impl Pesto {
     }
 
     /// The honest tail every exit shares: simulates `outcome.plan` on the
-    /// true op times of `graph`, adopts any of `candidates` that simulates
-    /// strictly faster (a candidate that fails to simulate — invalid for
-    /// this graph, or out of memory — is skipped), and runs the
-    /// [`PestoConfig::pipeline_steps`]-step pipelined evaluation of the
-    /// plan kept. Fills `makespan_us`, `pipeline` and `observed_op_us`.
+    /// true op times of `graph` and adopts any of `candidates` that
+    /// simulates strictly faster (a candidate that fails to simulate —
+    /// invalid for this graph, or out of memory — is skipped). Fills
+    /// `makespan_us`.
     fn honest_tail(
         &self,
         graph: &FrozenGraph,
@@ -640,13 +614,6 @@ impl Pesto {
                     outcome.makespan_us = report.makespan_us;
                 }
             }
-        }
-        if self.config.pipeline_steps > 1 {
-            let report = sim
-                .with_steps(self.config.pipeline_steps)
-                .run(&outcome.plan)?;
-            outcome.observed_op_us = Some(report.observed_op_us(graph.op_count()));
-            outcome.pipeline = report.pipeline;
         }
         Ok(outcome)
     }
@@ -675,7 +642,6 @@ impl Pesto {
             _ => pesto_baselines::m_sct(estimated, cluster, &self.comm),
         };
         let outcome = PestoOutcome {
-            explicit_schedule: plan.order.is_some(),
             plan,
             makespan_us: f64::NAN,
             placement_time: start.elapsed(),
@@ -684,8 +650,6 @@ impl Pesto {
             path,
             degradation: Some(reason),
             resumed: false,
-            pipeline: None,
-            observed_op_us: None,
             stage_timings,
             shard: None,
         };
@@ -775,11 +739,8 @@ impl Pesto {
             coarse_op_count: report.regions.len(),
             max_member_count: report.regions.iter().map(|r| r.ops).max().unwrap_or(0),
             path: SolvePath::Sharded,
-            explicit_schedule: true,
             degradation,
             resumed: false,
-            pipeline: None,
-            observed_op_us: None,
             stage_timings,
             shard: Some(report),
         };
@@ -977,8 +938,8 @@ impl Pesto {
         //    only improve on them.
         self.check_cancel()?;
         let mut placer_config = self.config.placer.clone();
-        if placer_config.cancel.is_none() {
-            placer_config.cancel = self.config.cancel.clone();
+        if placer_config.hybrid.cancel.is_none() {
+            placer_config.hybrid.cancel = self.config.cancel.clone();
         }
         placer_config.ilp.milp.threads = placer_config
             .ilp
@@ -1007,6 +968,7 @@ impl Pesto {
             projected.set_device(cv, best);
         }
         placer_config.hybrid.infinite_links = !self.config.congestion_aware;
+        placer_config.ilp.congestion = self.config.congestion_aware;
         placer_config.hybrid.initial_placements.extend([
             projected,
             pesto_baselines::m_sct(coarse, cluster, &self.comm).placement,
@@ -1014,11 +976,12 @@ impl Pesto {
         ]);
         // The search gets ~80% of the budget; the rest is reserved for
         // expansion, refinement, and the honest final simulation.
-        if placer_config.deadline.is_none() {
-            placer_config.deadline = self.config.time_budget.map(|b| start + b.mul_f64(0.8));
+        if placer_config.hybrid.deadline.is_none() {
+            placer_config.hybrid.deadline =
+                self.config.time_budget.map(|b| start + b.mul_f64(0.8));
         }
-        if !placer_config.obs.is_enabled() {
-            placer_config.obs = obs.clone();
+        if !placer_config.hybrid.obs.is_enabled() {
+            placer_config.hybrid.obs = obs.clone();
         }
         // Crash safety: warm-start the search from the loaded checkpoint
         // and install the periodic snapshot sink. The sink expands the
@@ -1089,8 +1052,7 @@ impl Pesto {
         //    between the coarse model and fine-grained reality. Explicit
         //    scheduling is dropped when merged vertices are too large
         //    (§3.3 fallback).
-        let explicit_schedule =
-            coarsening.max_member_count() <= self.config.max_members_for_scheduling;
+        let explicit_schedule = coarsening.max_member_count() <= MAX_MEMBERS_FOR_SCHEDULING;
         let plan = self.search_tail(
             &estimated,
             cluster,
@@ -1115,11 +1077,8 @@ impl Pesto {
             coarse_op_count: coarse.op_count(),
             max_member_count: coarsening.max_member_count(),
             path: solved.path,
-            explicit_schedule,
             degradation,
             resumed,
-            pipeline: None,
-            observed_op_us: None,
             stage_timings,
             shard: None,
         };
@@ -1276,38 +1235,54 @@ mod tests {
 
     #[test]
     fn scheduling_fallback_when_merges_are_huge() {
+        // Coarsening NASNet-3-16 to 2 vertices merges almost every op into
+        // one vertex, far past the §3.3 threshold.
         let graph = ModelSpec::nasnet(3, 16).generate(32, 1);
         let cluster = Cluster::two_gpus();
         let config = PestoConfig {
-            max_members_for_scheduling: 1, // force the fallback
-            coarsen_target: 16,
+            coarsen_target: 2,
             ..PestoConfig::fast()
         };
         let outcome = Pesto::new(config).place(&graph, &cluster).unwrap();
-        assert!(!outcome.explicit_schedule);
+        assert!(outcome.max_member_count > MAX_MEMBERS_FOR_SCHEDULING);
         assert!(outcome.plan.order.is_none());
     }
 
     #[test]
-    fn pipeline_steps_config_yields_a_breakdown() {
-        let graph = ModelSpec::transformer(1, 2, 64).generate(4, 1);
+    fn congestion_blind_exact_path_drops_the_link_constraints() {
+        // NASNet-3-16 coarsened to 8 vertices on 2 GPUs goes through the
+        // exact ILP; without congestion modelling its model loses
+        // constraint set (7). A node budget keeps the congestion-blind
+        // search, whose relaxation is weaker, from running to its time
+        // limit; 50 nodes find an incumbent either way.
+        let graph = ModelSpec::nasnet(3, 16).generate(32, 1);
         let cluster = Cluster::two_gpus();
-        let base = Pesto::new(PestoConfig::fast())
-            .place(&graph, &cluster)
-            .unwrap();
-        assert!(base.pipeline.is_none(), "default config is single-step");
-
-        let config = PestoConfig {
-            pipeline_steps: 4,
-            ..PestoConfig::fast()
+        let milp_constraints = |congestion_aware: bool| {
+            let mut config = PestoConfig {
+                coarsen_target: 8,
+                congestion_aware,
+                obs: Obs::enabled(),
+                ..PestoConfig::fast()
+            };
+            config.placer.ilp.milp.node_limit = 50;
+            let obs = config.obs.clone();
+            let outcome = Pesto::new(config).place(&graph, &cluster).unwrap();
+            assert_eq!(outcome.path, SolvePath::Exact);
+            let spans = obs.spans();
+            let span = spans
+                .iter()
+                .find(|s| s.name == "milp.solve")
+                .expect("the exact path solves a MILP");
+            let (_, constraints) = span
+                .attrs
+                .iter()
+                .find(|(k, _)| k == "constraints")
+                .expect("milp.solve records its constraint count");
+            constraints.parse::<usize>().unwrap()
         };
-        let outcome = Pesto::new(config).place(&graph, &cluster).unwrap();
-        let stats = outcome.pipeline.as_ref().expect("4-step breakdown");
-        assert_eq!(stats.steps, 4);
-        // The single-step makespan is unaffected by the extra evaluation,
-        // and the sustained step time can never exceed it.
-        assert_eq!(outcome.makespan_us, base.makespan_us);
-        assert!(stats.steady_step_us <= outcome.makespan_us + 1e-9);
+        let with = milp_constraints(true);
+        let without = milp_constraints(false);
+        assert!(without < with, "{without} constraints without congestion, {with} with");
     }
 
     #[test]

@@ -182,19 +182,19 @@ fn pipelined_spans_feed_the_drift_detector() {
 
     let graph = ModelSpec::transformer(1, 2, 64).generate(4, 1);
     let cluster = Cluster::two_gpus();
-    let config = PestoConfig {
-        pipeline_steps: 4,
-        ..PestoConfig::fast()
-    };
-    let outcome = Pesto::new(config).place(&graph, &cluster).unwrap();
+    let outcome = Pesto::new(PestoConfig::fast())
+        .place(&graph, &cluster)
+        .unwrap();
     let expected: Vec<f64> = graph.op_ids().map(|id| graph.op(id).compute_us()).collect();
 
-    // The pipelined run surfaced its spans as a ready-made observation
-    // vector: one entry per op, every executed op measured.
-    let observed = outcome
-        .observed_op_us
-        .clone()
-        .expect("pipelined run must record observations");
+    // A 4-step pipelined run of the plan surfaces its spans as a
+    // ready-made observation vector: one entry per op, every executed op
+    // measured.
+    let observed = Simulator::new(&graph, &cluster, comm())
+        .with_steps(4)
+        .run(&outcome.plan)
+        .unwrap()
+        .observed_op_us(graph.op_count());
     assert_eq!(observed.len(), graph.op_count());
     assert!(observed.iter().all(Option::is_some));
 
