@@ -126,123 +126,59 @@ pub const FLIGHT_SNAPSHOT_CAPACITY: usize = 32;
 /// the dump is a postmortem digest, not an archive.
 pub const FLIGHT_DUMP_TAIL: usize = 512;
 
-/// Bounded solver-event stream: a ring that evicts the oldest events once
-/// `capacity` is reached, tracking how many were evicted so exporters and
-/// incremental readers can report the loss instead of hiding it.
-pub(crate) struct EventRing {
-    buf: VecDeque<SolverEvent>,
+/// Bounded store that evicts its oldest item once `capacity` is reached
+/// and counts the evictions, so exporters and incremental readers can
+/// report the loss instead of hiding it. Holds the spans, the solver
+/// events and the flight recorder's metric snapshots; the newest retained
+/// spans and events double as the flight dump's tail.
+pub(crate) struct Ring<T> {
+    buf: VecDeque<T>,
     capacity: usize,
-    /// Events evicted so far; also the sequence number of `buf[0]`.
+    /// Items evicted so far; also the sequence number of `buf[0]`.
     evicted: u64,
 }
 
-impl EventRing {
+impl<T: Clone> Ring<T> {
     fn new(capacity: usize) -> Self {
-        EventRing {
-            // A zero capacity would make every push an immediate silent
-            // drop; retain at least one event so the stream stays usable.
+        Ring {
             buf: VecDeque::new(),
+            // A zero capacity would make every push an immediate silent
+            // drop; retain at least one item so the store stays usable.
             capacity: capacity.max(1),
             evicted: 0,
         }
     }
 
-    fn push(&mut self, event: SolverEvent) {
+    pub(crate) fn push(&mut self, item: T) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.evicted += 1;
         }
-        self.buf.push_back(event);
+        self.buf.push_back(item);
     }
 
-    fn snapshot(&self) -> Vec<SolverEvent> {
+    fn snapshot(&self) -> Vec<T> {
         self.buf.iter().cloned().collect()
     }
 
-    /// The newest `n` retained events, oldest first.
-    fn tail(&self, n: usize) -> Vec<SolverEvent> {
+    /// The newest `n` retained items, oldest first.
+    fn tail(&self, n: usize) -> Vec<T> {
         let skip = self.buf.len().saturating_sub(n);
         self.buf.iter().skip(skip).cloned().collect()
     }
 
-    /// Events with sequence number `>= seq`, plus the next sequence
-    /// number to poll from. Sequence numbers count every event ever
-    /// pushed, so a reader that falls behind the ring simply resumes at
-    /// the oldest retained event (the gap shows up in
-    /// [`Obs::dropped_events`]).
-    fn since(&self, seq: u64) -> (u64, Vec<SolverEvent>) {
+    /// Items with sequence number `>= seq`, plus the next sequence number
+    /// to poll from. Sequence numbers count every item ever pushed, so a
+    /// reader that falls behind the ring simply resumes at the oldest
+    /// retained item (the gap shows up in the eviction count).
+    fn since(&self, seq: u64) -> (u64, Vec<T>) {
         let next = self.evicted + self.buf.len() as u64;
         let skip = seq.saturating_sub(self.evicted).min(self.buf.len() as u64) as usize;
         (next, self.buf.iter().skip(skip).cloned().collect())
     }
-}
 
-/// Bounded span store: like [`EventRing`] but for [`SpanRecord`]s, so an
-/// always-on daemon handle cannot grow without bound. Doubles as the
-/// flight recorder's "recent spans" window — the newest retained spans
-/// *are* the flight tail.
-pub(crate) struct SpanRing {
-    buf: VecDeque<SpanRecord>,
-    capacity: usize,
-    evicted: u64,
-}
-
-impl SpanRing {
-    fn new(capacity: usize) -> Self {
-        SpanRing {
-            buf: VecDeque::new(),
-            capacity: capacity.max(1),
-            evicted: 0,
-        }
-    }
-
-    pub(crate) fn push(&mut self, record: SpanRecord) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.evicted += 1;
-        }
-        self.buf.push_back(record);
-    }
-
-    fn snapshot(&self) -> Vec<SpanRecord> {
-        self.buf.iter().cloned().collect()
-    }
-
-    /// The newest `n` retained spans, oldest first.
-    fn tail(&self, n: usize) -> Vec<SpanRecord> {
-        let skip = self.buf.len().saturating_sub(n);
-        self.buf.iter().skip(skip).cloned().collect()
-    }
-
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &SpanRecord> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
         self.buf.iter()
-    }
-}
-
-/// Bounded ring of timestamped metric snapshots — the third leg of the
-/// flight recorder (spans and solver events have their own rings).
-pub(crate) struct FlightRing {
-    buf: VecDeque<export::FlightSnapshot>,
-    capacity: usize,
-}
-
-impl FlightRing {
-    fn new(capacity: usize) -> Self {
-        FlightRing {
-            buf: VecDeque::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn push(&mut self, snapshot: export::FlightSnapshot) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(snapshot);
-    }
-
-    fn snapshot(&self) -> Vec<export::FlightSnapshot> {
-        self.buf.iter().cloned().collect()
     }
 }
 
@@ -251,13 +187,13 @@ impl FlightRing {
 /// `lock()` inside the hook would double-panic and abort the process.
 pub(crate) struct Inner {
     pub(crate) epoch: Instant,
-    pub(crate) spans: RobustMutex<SpanRing>,
+    pub(crate) spans: RobustMutex<Ring<SpanRecord>>,
     pub(crate) registry: RobustMutex<Registry>,
-    pub(crate) events: RobustMutex<EventRing>,
+    pub(crate) events: RobustMutex<Ring<SolverEvent>>,
     /// Human-readable names for span lanes ([`Obs::name_lane`]); unnamed
     /// lanes export as `lane-<tid>`.
     pub(crate) lanes: RobustMutex<BTreeMap<u64, String>>,
-    pub(crate) flight: RobustMutex<FlightRing>,
+    pub(crate) flight: RobustMutex<Ring<export::FlightSnapshot>>,
 }
 
 /// Flight-dump sinks of the process-wide panic hook: the storage of each
@@ -337,11 +273,11 @@ impl Obs {
         Obs {
             inner: Some(Arc::new(Inner {
                 epoch: Instant::now(),
-                spans: RobustMutex::new(SpanRing::new(span_capacity)),
+                spans: RobustMutex::new(Ring::new(span_capacity)),
                 registry: RobustMutex::new(Registry::default()),
-                events: RobustMutex::new(EventRing::new(event_capacity)),
+                events: RobustMutex::new(Ring::new(event_capacity)),
                 lanes: RobustMutex::new(BTreeMap::new()),
-                flight: RobustMutex::new(FlightRing::new(FLIGHT_SNAPSHOT_CAPACITY)),
+                flight: RobustMutex::new(Ring::new(FLIGHT_SNAPSHOT_CAPACITY)),
             })),
         }
     }
