@@ -161,8 +161,11 @@ pub struct MilpSolution {
     /// Values of all variables in the best solution.
     pub values: Vec<f64>,
     /// Best dual bound at termination (equals `objective` when optimal).
+    /// A search that stopped before solving the root relaxation has no
+    /// bound: `-inf` when minimizing, `+inf` when maximizing.
     pub best_bound: f64,
-    /// Remaining relative gap `|objective - best_bound| / max(1, |objective|)`.
+    /// Remaining relative gap `|objective - best_bound| / max(1, |objective|)`
+    /// (infinite without a root bound).
     pub gap: f64,
     /// Number of branch-and-bound nodes explored.
     pub nodes_explored: usize,
@@ -699,13 +702,19 @@ impl<'a> Search<'a> {
                 // Optimality needs a genuinely exhausted tree: an empty
                 // heap after a limits break (e.g. the root was popped and
                 // the deadline fired before its children were pushed)
-                // proves nothing, and without a processed root there is no
-                // bound to close a gap with — a warm-start incumbent under
-                // a ~zero deadline is Feasible, not Optimal.
+                // proves nothing, and without a solved root relaxation
+                // nothing bounds the optimum — a warm-start incumbent
+                // under a ~zero deadline is Feasible, with an infinite gap.
                 let exhausted =
                     self.heap.into_inner().expect("heap lock").is_empty() && !limits_hit;
                 let saw_root = self.saw_root.into_inner();
-                let bound = if exhausted || !saw_root {
+                let bound = if !saw_root {
+                    if self.maximize {
+                        f64::INFINITY
+                    } else {
+                        f64::NEG_INFINITY
+                    }
+                } else if exhausted {
                     objective
                 } else {
                     f64::from_bits(self.bound.into_inner())

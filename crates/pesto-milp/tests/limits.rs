@@ -116,6 +116,39 @@ fn warm_start_under_zero_deadline_returns_feasible_incumbent() {
     assert!(milp.is_integer_feasible(&sol.values, 1e-6));
 }
 
+#[test]
+fn warm_start_without_a_solved_root_reports_an_unbounded_gap() {
+    // No node may be explored, so no relaxation bounds the optimum: the
+    // warm start comes back Feasible with the dual bound on the unbounded
+    // side and an infinite gap, never a closed one.
+    let milp = hard_partition(12);
+    let exact = milp.solve(&MilpConfig::default()).unwrap();
+    let cfg = MilpConfig {
+        warm_start: Some(exact.values.clone()),
+        node_limit: 0,
+        ..MilpConfig::default()
+    };
+    let sol = milp.solve(&cfg).expect("the warm start is a solution");
+    assert_eq!(sol.status, MilpStatus::Feasible);
+    assert_eq!(sol.nodes_explored, 0);
+    assert!((sol.objective - exact.objective).abs() < 1e-6);
+    assert_eq!(sol.best_bound, f64::NEG_INFINITY, "minimizing: {sol:?}");
+    assert_eq!(sol.gap, f64::INFINITY, "{sol:?}");
+
+    // Maximizing, the unbounded side is +inf.
+    let km = klee_minty_with_binary();
+    let sol = km
+        .solve(&MilpConfig {
+            warm_start: Some(vec![0.0; 12]),
+            node_limit: 0,
+            ..MilpConfig::default()
+        })
+        .unwrap();
+    assert_eq!(sol.status, MilpStatus::Feasible);
+    assert_eq!(sol.best_bound, f64::INFINITY, "maximizing: {sol:?}");
+    assert_eq!(sol.gap, f64::INFINITY, "{sol:?}");
+}
+
 /// A Klee–Minty cube of dimension 11, on which Dantzig pricing visits
 /// all 2^11 vertices, plus one binary `b` with objective 1. The root LP
 /// takes 2,048 pivots (2^11 − 1 on the cube, one for `b`), more than the

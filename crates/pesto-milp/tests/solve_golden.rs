@@ -360,8 +360,8 @@ const GOLDEN: &[(&str, u64, u64, [u64; 6])] = &[
     ),
     (
         "partition12/warm/nodes0",
-        0x80018b9098e359c6,
-        0x29dc38f38007b8b0,
+        0x549808f213edd7a6,
+        0xe33e605650e35d7e,
         [0, 0, 0, 0, 0, 0],
     ),
     (
