@@ -364,16 +364,7 @@ mod tests {
             &Obs::disabled(),
         )
         .unwrap();
-        stitch(
-            graph,
-            cluster,
-            &comm,
-            &part,
-            &sols,
-            None,
-            &Obs::disabled(),
-        )
-        .unwrap()
+        stitch(graph, cluster, &comm, &part, &sols, None, &Obs::disabled()).unwrap()
     }
 
     #[test]
@@ -416,16 +407,7 @@ mod tests {
             &Obs::disabled(),
         )
         .unwrap();
-        let err = stitch(
-            &g,
-            &cluster,
-            &comm,
-            &part,
-            &sols,
-            None,
-            &Obs::disabled(),
-        )
-        .unwrap_err();
+        let err = stitch(&g, &cluster, &comm, &part, &sols, None, &Obs::disabled()).unwrap_err();
         assert!(matches!(err, ShardError::Infeasible(_)));
     }
 

@@ -977,8 +977,7 @@ impl Pesto {
         // The search gets ~80% of the budget; the rest is reserved for
         // expansion, refinement, and the honest final simulation.
         if placer_config.hybrid.deadline.is_none() {
-            placer_config.hybrid.deadline =
-                self.config.time_budget.map(|b| start + b.mul_f64(0.8));
+            placer_config.hybrid.deadline = self.config.time_budget.map(|b| start + b.mul_f64(0.8));
         }
         if !placer_config.hybrid.obs.is_enabled() {
             placer_config.hybrid.obs = obs.clone();
@@ -1282,7 +1281,10 @@ mod tests {
         };
         let with = milp_constraints(true);
         let without = milp_constraints(false);
-        assert!(without < with, "{without} constraints without congestion, {with} with");
+        assert!(
+            without < with,
+            "{without} constraints without congestion, {with} with"
+        );
     }
 
     #[test]

@@ -25,7 +25,6 @@ fn sharded_config(threads: usize) -> PestoConfig {
             region_cap: 300,
             region_coarsen_target: 64,
             region_iterations: 400,
-            ..ShardConfig::default()
         }),
         solver_threads: threads,
         ..PestoConfig::fast()
