@@ -5,7 +5,9 @@ use crate::faults::{FaultAttribution, FaultPlan};
 use crate::report::{OpSpan, PipelineStats, SimReport, TransferSpan};
 use crate::routes::Routes;
 use pesto_cost::CommModel;
-use pesto_graph::{Cluster, DeviceId, FrozenGraph, LinkId, OpId, Plan};
+use pesto_graph::{
+    Cluster, DeviceId, FrozenGraph, GraphError, LinkId, OpId, Placement, Plan, ScheduleOrder,
+};
 use pesto_obs::Obs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -82,6 +84,74 @@ struct QueuedTransfer {
     edge: u32,
     queued_us: f64,
 }
+
+/// An event of [`Simulator::makespan`]'s single-step loop: an [`Event`]
+/// in 16 bytes rather than 32, for the heap to move and compare. `key`
+/// holds `seq` in its high 32 bits, so it orders ties as `seq` does, and
+/// in its low 32 bits the finished op's index, or the transferred edge's
+/// index with [`TRANSFER`] set.
+#[derive(Debug, Clone, Copy)]
+struct Tick {
+    time: f64,
+    key: u64,
+}
+
+/// The bit of a [`Tick`]'s low half that marks a transfer.
+const TRANSFER: u32 = 1 << 31;
+
+impl Tick {
+    fn new(time: f64, seq: u32, what: u32) -> Self {
+        Tick {
+            time,
+            key: (u64::from(seq) << 32) | u64::from(what),
+        }
+    }
+
+    fn what(self) -> u32 {
+        self.key as u32
+    }
+}
+
+impl PartialEq for Tick {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.key == other.key
+    }
+}
+impl Eq for Tick {}
+impl PartialOrd for Tick {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Tick {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed, as for `Event`.
+        other
+            .time
+            .total_cmp(&self.time)
+            .then_with(|| other.key.cmp(&self.key))
+    }
+}
+
+/// The buffers of [`Simulator::makespan`]. Each call clears and refills
+/// them, so a caller that scores many plans with one scratch allocates
+/// only while the buffers grow.
+#[derive(Debug, Clone, Default)]
+pub struct MakespanScratch {
+    /// Per op, its inputs not yet arrived ([`UNLISTED`] while validation
+    /// has not met the op in the order).
+    pending: Vec<u32>,
+    /// Per device, the position in its order of the next op to dispatch.
+    next: Vec<usize>,
+    device_busy: Vec<bool>,
+    link_busy: Vec<bool>,
+    /// Per link, the edges whose transfers wait for it, first come first.
+    link_queue: Vec<VecDeque<u32>>,
+    heap: BinaryHeap<Tick>,
+}
+
+/// [`MakespanScratch::pending`] of an op no device's order has listed yet.
+const UNLISTED: u32 = u32::MAX;
 
 impl<'a> Simulator<'a> {
     /// Creates a simulator for a graph on a cluster with the given
@@ -661,6 +731,185 @@ impl<'a> Simulator<'a> {
             faults: attribution,
             pipeline,
         })
+    }
+
+    /// The makespan [`Simulator::run`] reports for `placement` dispatched
+    /// in `order` (one list per device, indexed by [`DeviceId::index`]),
+    /// or the error it returns, computed without building a [`Plan`] or a
+    /// report.
+    ///
+    /// A simulator with faults, more than one step, the memory check or
+    /// telemetry answers with `run`. Otherwise one event loop runs the
+    /// single step in `scratch`'s buffers, keeping only what decides event
+    /// times: pending-input counts, each device's order position and busy
+    /// flag, each link's busy flag and FCFS queue, and the event heap. It
+    /// validates as [`Plan::validate`] does and pushes the events `run`
+    /// pushes, in `run`'s order and at the same times: with no faults,
+    /// `run` scales each duration by exactly 1.0 and starts each transfer
+    /// at the current time. Both heaps break time ties by push order, so
+    /// they pop the same events in the same order, and the makespan has
+    /// `run`'s bits.
+    ///
+    /// # Errors
+    ///
+    /// As [`Simulator::run`] of `Plan::with_order(placement, order)`; on
+    /// the event loop, [`SimError::InvalidPlan`], [`SimError::MissingLink`]
+    /// or [`SimError::Deadlock`].
+    pub fn makespan(
+        &self,
+        placement: &Placement,
+        order: &[Vec<OpId>],
+        scratch: &mut MakespanScratch,
+    ) -> Result<f64, SimError> {
+        if self.faults.is_some() || self.steps > 1 || self.check_memory || self.obs.is_enabled() {
+            let order = ScheduleOrder::from_vecs(order.to_vec());
+            return Ok(self
+                .run(&Plan::with_order(placement.clone(), order))?
+                .makespan_us);
+        }
+        let graph = self.graph;
+        let n = graph.op_count();
+        let n_dev = self.cluster.device_count();
+        let n_link = self.cluster.link_count();
+        let edges = graph.edges();
+        // Each op and each cross-device edge pushes at most one event, so
+        // `seq` and `what` fit in 31 bits.
+        assert!(
+            n + edges.len() < TRANSFER as usize,
+            "graph too large for the makespan loop"
+        );
+        placement.validate(graph, self.cluster)?;
+        if order.len() != n_dev {
+            return Err(GraphError::UnknownDevice(order.len() as u32).into());
+        }
+        let MakespanScratch {
+            pending,
+            next,
+            device_busy,
+            link_busy,
+            link_queue,
+            heap,
+        } = scratch;
+        // `ScheduleOrder::validate`: each op listed once, on its own
+        // device. Listing an op sets its pending-input count.
+        pending.clear();
+        pending.resize(n, UNLISTED);
+        for (d, list) in order.iter().enumerate() {
+            for &op in list {
+                if op.index() >= n
+                    || pending[op.index()] != UNLISTED
+                    || placement.device(op).index() != d
+                {
+                    return Err(GraphError::UnknownOp(op).into());
+                }
+                pending[op.index()] = graph.in_degree(op) as u32;
+            }
+        }
+        if let Some(missing) = pending.iter().position(|&p| p == UNLISTED) {
+            return Err(GraphError::UnknownOp(OpId::from_index(missing)).into());
+        }
+        next.clear();
+        next.resize(n_dev, 0);
+        device_busy.clear();
+        device_busy.resize(n_dev, false);
+        link_busy.clear();
+        link_busy.resize(n_link, false);
+        link_queue.resize_with(n_link, VecDeque::new);
+        link_queue.iter_mut().for_each(VecDeque::clear);
+        heap.clear();
+        let mut seq = 0u32;
+
+        // `run`'s `try_dispatch`, `try_start_link` and `arrive` for one
+        // step, an explicit order and no faults.
+        macro_rules! dispatch {
+            ($dev:expr, $now:expr) => {{
+                let d: usize = $dev;
+                let list = &order[d];
+                if !device_busy[d] && next[d] < list.len() && pending[list[next[d]].index()] == 0 {
+                    let op = list[next[d]];
+                    next[d] += 1;
+                    device_busy[d] = true;
+                    seq += 1;
+                    heap.push(Tick::new(
+                        $now + graph.op(op).compute_us(),
+                        seq,
+                        op.index() as u32,
+                    ));
+                }
+            }};
+        }
+
+        macro_rules! start_link {
+            ($link:expr, $now:expr) => {{
+                let l: usize = $link;
+                while self.infinite_links || !link_busy[l] {
+                    let Some(edge) = link_queue[l].pop_front() else {
+                        break;
+                    };
+                    let (_, _, bytes) = edges[edge as usize];
+                    let link_info = self.cluster.link(LinkId::from_index(l));
+                    let dur =
+                        self.comm.transfer_us(link_info.link_type(), bytes) / link_info.speed();
+                    link_busy[l] = !self.infinite_links;
+                    seq += 1;
+                    heap.push(Tick::new($now + dur, seq, TRANSFER | edge));
+                }
+            }};
+        }
+
+        macro_rules! arrive {
+            ($op:expr, $now:expr) => {{
+                let v: OpId = $op;
+                pending[v.index()] -= 1;
+                if pending[v.index()] == 0 {
+                    dispatch!(placement.device(v).index(), $now);
+                }
+            }};
+        }
+
+        for d in 0..n_dev {
+            dispatch!(d, 0.0);
+        }
+        let mut makespan = 0.0f64;
+        while let Some(tick) = heap.pop() {
+            let (now, what) = (tick.time, tick.what());
+            makespan = makespan.max(now);
+            if what & TRANSFER == 0 {
+                let u = what as usize;
+                let dev = placement.device(OpId::from_index(u));
+                device_busy[dev.index()] = false;
+                for &edge_idx in &self.out_edges[self.out_start[u]..self.out_start[u + 1]] {
+                    let (_, v, _) = edges[edge_idx];
+                    let vdev = placement.device(v);
+                    if vdev == dev {
+                        arrive!(v, now);
+                    } else {
+                        let link = self.routes.get(dev, vdev)?.link.index();
+                        link_queue[link].push_back(edge_idx as u32);
+                        start_link!(link, now);
+                    }
+                }
+                dispatch!(dev.index(), now);
+            } else {
+                let (u, v, _) = edges[(what & !TRANSFER) as usize];
+                let link = self
+                    .routes
+                    .get(placement.device(u), placement.device(v))
+                    .expect("a started transfer has a route")
+                    .link
+                    .index();
+                link_busy[link] = false;
+                start_link!(link, now);
+                arrive!(v, now);
+            }
+        }
+
+        // Every listed op ran once its device's position passed it, so ops
+        // remain only behind a head that never became ready.
+        match (0..n_dev).find(|&d| next[d] < order[d].len()) {
+            Some(d) => Err(SimError::Deadlock(order[d][next[d]])),
+            None => Ok(makespan),
+        }
     }
 }
 

@@ -47,6 +47,20 @@
 //! training for many steps. `with_steps(1)` is exactly the single-step
 //! simulator.
 //!
+//! # Scoring many plans
+//!
+//! [`Simulator::makespan`] returns the makespan [`Simulator::run`] reports
+//! for a placement and an explicit per-device order, or the error `run`
+//! returns, without building a [`Plan`][pesto_graph::Plan] or a
+//! [`SimReport`]. It runs a single-step event loop of its own in buffers
+//! the caller keeps ([`MakespanScratch`]) and tracks only what decides
+//! event times; a simulator with faults, more than one step, the memory
+//! check or telemetry calls `run` instead. Placement searches score every
+//! candidate with it (`pesto_ilp::Evaluator`). `run` stays the only path
+//! that builds reports, injects faults, pipelines steps or runs the
+//! random-ready policy, and the reference the loop is tested against
+//! (`tests/engine_reference.rs`).
+//!
 //! # Example
 //!
 //! ```
@@ -77,7 +91,7 @@ mod faults;
 mod report;
 mod routes;
 
-pub use engine::Simulator;
+pub use engine::{MakespanScratch, Simulator};
 pub use error::SimError;
 pub use faults::{FaultAttribution, FaultPlan, LinkStall, PerturbationSpec};
 pub use report::{MemoryProfile, OpSpan, PipelineStats, SimReport, TransferSpan};

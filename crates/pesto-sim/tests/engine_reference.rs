@@ -6,11 +6,13 @@
 //! table: kept verbatim, with only its imports changed, so `Simulator` in
 //! this file is that engine and `pesto_sim::Simulator` the current one.
 //! The property: on random DAGs with weight updates (so the K-step
-//! barriers fire), random placements on 2- and 4-GPU clusters, ETF,
-//! deadlocking and placement-only plans, 1-3 steps, infinite links on and
-//! off, and fault plans with jitter, a straggler, link degradation, a
-//! link stall and an outage, both engines return the same report or the
-//! same error, bit for bit.
+//! barriers fire), random placements on 2- and 4-GPU clusters (one in
+//! eight with an op off the cluster or on a device of the wrong kind),
+//! ETF, deadlocking and placement-only plans, 1-3 steps, infinite links
+//! on and off, and fault plans with jitter, a straggler, link
+//! degradation, a link stall and an outage, both engines return the same
+//! report or the same error, bit for bit. On the same cases the current
+//! engine's `makespan` returns `run`'s makespan or error.
 
 use pesto_cost::CommModel;
 use pesto_graph::{Cluster, DeviceId, FrozenGraph, LinkId, OpId, Plan};
@@ -698,6 +700,7 @@ fn median_gap(step_finish: &[f64]) -> f64 {
 
 use pesto_graph::{DeviceKind, OpGraph, Placement, ScheduleOrder};
 use pesto_ilp::{etf_schedule, splitmix64};
+use pesto_sim::MakespanScratch;
 use proptest::prelude::*;
 
 /// How a case's plan orders each device.
@@ -716,6 +719,7 @@ enum Order {
 /// One generated case: a DAG, a cluster, a plan and the simulator knobs.
 #[derive(Debug)]
 struct Case {
+    seed: u64,
     graph: FrozenGraph,
     cluster: Cluster,
     plan: Plan,
@@ -828,7 +832,13 @@ fn build_case(seed: u64) -> Case {
         }
         f
     });
+    let obs = draw(4) == 0;
+    let mut plan = plan;
+    if draw(8) == 0 {
+        misplace(&mut plan, &graph, &cluster, &mut draw);
+    }
     Case {
+        seed,
         graph,
         cluster,
         plan,
@@ -837,7 +847,35 @@ fn build_case(seed: u64) -> Case {
         infinite_links,
         check_memory,
         faults,
-        obs: draw(4) == 0,
+        obs,
+    }
+}
+
+/// Moves one op of `plan` where no valid placement puts it: off the
+/// cluster, or onto a device of the other kind, where it joins the end of
+/// that device's order so that only the placement's own check rejects it.
+fn misplace(
+    plan: &mut Plan,
+    graph: &FrozenGraph,
+    cluster: &Cluster,
+    draw: &mut impl FnMut(u64) -> u64,
+) {
+    let op = OpId::from_index(draw(graph.op_count() as u64) as usize);
+    let gpus = cluster.device_count() - 1;
+    let to = match (draw(2), graph.op(op).kind()) {
+        (0, _) => DeviceId::from_index(cluster.device_count() + draw(2) as usize),
+        (_, DeviceKind::Gpu) => cluster.cpu(),
+        _ => cluster.gpu(draw(gpus as u64) as usize),
+    };
+    let from = plan.placement.device(op);
+    plan.placement.set_device(op, to);
+    if let (Some(order), true) = (&mut plan.order, to.index() < cluster.device_count()) {
+        let mut lists: Vec<Vec<OpId>> = (0..order.device_count())
+            .map(|d| order.on_device(DeviceId::from_index(d)).to_vec())
+            .collect();
+        lists[from.index()].retain(|&o| o != op);
+        lists[to.index()].push(op);
+        *order = ScheduleOrder::from_vecs(lists);
     }
 }
 
@@ -874,6 +912,47 @@ fn run_both(case: &Case) -> (Result<SimReport, SimError>, Result<SimReport, SimE
     (reference.run(&case.plan), current.run(&case.plan))
 }
 
+/// Checks `Simulator::makespan` against `run` on `case`'s ordered plan,
+/// in `scratch`: under the case's settings, and under its link model
+/// alone, without the faults, steps, memory check and telemetry that
+/// send `makespan` to `run`. Returns the second result, the event loop's,
+/// or `None` for a placement-only plan.
+fn check_makespan(case: &Case, scratch: &mut MakespanScratch) -> Option<Result<f64, SimError>> {
+    let order = case.plan.order.as_ref()?;
+    let lists: Vec<Vec<OpId>> = (0..order.device_count())
+        .map(|d| order.on_device(DeviceId::from_index(d)).to_vec())
+        .collect();
+    let comm = CommModel::default_v100();
+    let plain = pesto_sim::Simulator::new(&case.graph, &case.cluster, comm)
+        .with_memory_check(false)
+        .with_infinite_links(case.infinite_links);
+    let mut configured = pesto_sim::Simulator::new(&case.graph, &case.cluster, comm)
+        .with_memory_check(case.check_memory)
+        .with_steps(case.steps)
+        .with_infinite_links(case.infinite_links)
+        .with_obs(if case.obs {
+            Obs::enabled()
+        } else {
+            Obs::disabled()
+        });
+    if let Some(f) = &case.faults {
+        configured = configured.with_faults(f.clone());
+    }
+    let mut got = None;
+    for sim in [configured, plain] {
+        let want = sim.run(&case.plan).map(|r| r.makespan_us.to_bits());
+        let makespan = sim.makespan(&case.plan.placement, &lists, scratch);
+        assert_eq!(
+            makespan.clone().map(f64::to_bits),
+            want,
+            "seed {}",
+            case.seed
+        );
+        got = Some(makespan);
+    }
+    got
+}
+
 /// `{:?}` prints every f64 in its shortest round-trip form, so equal
 /// renderings are equal bits.
 fn bits(result: &Result<SimReport, SimError>) -> String {
@@ -891,19 +970,41 @@ proptest! {
     }
 }
 
-/// The generator reaches what the property is about: pipelined runs
+/// `Simulator::makespan` returns `run`'s makespan bits or `run`'s error on
+/// every ordered case ([`check_makespan`]). One scratch serves every case,
+/// across cluster sizes and after errors, so state one call leaves behind
+/// would change a later result.
+#[test]
+fn makespan_is_bit_identical_to_run() {
+    let mut scratch = MakespanScratch::default();
+    let mut state = 0x6d61_6b65_7370_616e;
+    for _ in 0..256 {
+        check_makespan(&build_case(splitmix64(&mut state)), &mut scratch);
+    }
+}
+
+/// The generator reaches what the properties are about: pipelined runs
 /// with barriers, every plan kind, faulted runs, and the deadlock (with
-/// the wedged op past the head of its device's list), device loss and
-/// out-of-memory errors. Each of these seeds is also checked against the
-/// reference.
+/// the wedged op past the head of its device's list), device loss,
+/// out-of-memory and invalid-plan errors; and `makespan`'s event loop
+/// ends in a makespan, a deadlock and an invalid plan. Each of these
+/// seeds is also checked against the reference and `run`.
 #[test]
 fn generated_cases_cover_every_outcome() {
     let (mut barriers, mut etf, mut random, mut faulted) = (0, 0, 0, 0);
-    let (mut wedged_mid_list, mut lost, mut oom, mut ok) = (0, 0, 0, 0);
+    let (mut wedged_mid_list, mut lost, mut oom, mut invalid, mut ok) = (0, 0, 0, 0, 0);
+    let (mut loop_ok, mut loop_deadlock, mut loop_invalid) = (0, 0, 0);
+    let mut scratch = MakespanScratch::default();
     for seed in 0..200 {
         let case = build_case(seed);
         let (reference, current) = run_both(&case);
         assert_eq!(bits(&current), bits(&reference), "seed {seed}");
+        match check_makespan(&case, &mut scratch) {
+            Some(Ok(_)) => loop_ok += 1,
+            Some(Err(SimError::Deadlock(_))) => loop_deadlock += 1,
+            Some(Err(SimError::InvalidPlan(_))) => loop_invalid += 1,
+            _ => {}
+        }
         barriers += usize::from(case.steps > 1 && !case.graph.weight_update_ops().is_empty());
         etf += usize::from(case.order == Order::Etf);
         random += usize::from(matches!(case.order, Order::Random(_)));
@@ -920,6 +1021,7 @@ fn generated_cases_cover_every_outcome() {
             }
             Err(SimError::DeviceLost { .. }) => lost += 1,
             Err(SimError::OutOfMemory(_)) => oom += 1,
+            Err(SimError::InvalidPlan(_)) => invalid += 1,
             Ok(_) => ok += 1,
             Err(_) => {}
         }
@@ -932,7 +1034,11 @@ fn generated_cases_cover_every_outcome() {
         wedged_mid_list,
         lost,
         oom,
+        invalid,
         ok,
+        loop_ok,
+        loop_deadlock,
+        loop_invalid,
     ];
     assert!(counts.iter().all(|&c| c > 0), "{counts:?}");
 }
