@@ -9,7 +9,7 @@
 
 use pesto_cost::CommModel;
 use pesto_graph::{Cluster, DeviceId, FrozenGraph, LinkType, OpId, Placement, Plan, ScheduleOrder};
-use pesto_sim::{Routes, SimError, SimReport, Simulator};
+use pesto_sim::{MakespanScratch, Routes, SimError, SimReport, Simulator};
 
 /// Scores placements against the paper's objective: the congestion-aware
 /// makespan `C_max` under device memory (§3.2). A placement's plan is its
@@ -28,8 +28,11 @@ use pesto_sim::{Routes, SimError, SimReport, Simulator};
 /// [`Evaluator::new`]: the b-levels the ETF pass ranks ready ops by, and
 /// the simulator with its out-edge index and the device-pair link table
 /// ([`Simulator::routes`]) that both the ETF pass and the simulator route
-/// transfers through. Every cost is bit-identical to [`etf_schedule`]
-/// plus the penalty.
+/// transfers through. A cost simulates the ETF order with
+/// [`Simulator::makespan`], which builds no plan or report and runs in
+/// buffers the caller's [`EtfTrace`] keeps; [`Evaluator::schedule`] and
+/// [`etf_schedule`] run [`Simulator::run`]. Every cost is bit-identical
+/// to [`etf_schedule`] plus the penalty.
 ///
 /// A search that scores many small moves keeps the [`EtfTrace`] of its
 /// incumbent's pass ([`Evaluator::score`]) and scores a candidate with
@@ -136,10 +139,11 @@ impl<'a> Evaluator<'a> {
     /// first step `r` at which an op the two place differently is ready.
     /// It restarts from `base`'s last snapshot taken strictly before `r`
     /// (a snapshot at `r` already holds that op's ready entry for its
-    /// `base` device) and runs the remaining steps; the plan is then
-    /// simulated in full. Without a usable base (an incomplete trace, or
-    /// a move of an op ready from step 0) the pass runs from step 0.
-    /// [`EtfTrace::skipped_steps`] says how many steps were not run.
+    /// `base` device) and runs the remaining steps; the whole order is
+    /// then simulated ([`Simulator::makespan`]). Without a usable base
+    /// (an incomplete trace, or a move of an op ready from step 0) the
+    /// pass runs from step 0. [`EtfTrace::skipped_steps`] says how many
+    /// steps were not run.
     ///
     /// # Errors
     ///
@@ -174,10 +178,7 @@ impl<'a> Evaluator<'a> {
         trace: &mut EtfTrace,
     ) -> Result<f64, SimError> {
         self.pass().run(placement, base, trace)?;
-        let order = ScheduleOrder::from_vecs(trace.order.clone());
-        let mut cost = simulate_order(placement.clone(), order, &self.sim)?
-            .report
-            .makespan_us;
+        let mut cost = self.sim.makespan(placement, &trace.order, &mut trace.sim)?;
         let usage = placement.memory_per_device(self.graph, self.cluster);
         for (d, &used) in usage.iter().enumerate() {
             let cap = self.cluster.devices()[d].memory_bytes();
@@ -319,7 +320,7 @@ struct ReadyOp {
 }
 
 /// The record of one ETF pass that [`Evaluator::rescore`] resumes from,
-/// and the buffers the pass ran in.
+/// and the buffers the pass and its simulation ran in.
 ///
 /// Besides the per-device order, a trace keeps each op's finish time and
 /// the steps at which it became ready and was committed, plus a snapshot
@@ -352,6 +353,8 @@ pub struct EtfTrace {
     /// Positions in `ready` scanned this step (working state).
     scan: Vec<usize>,
     snapshots: Snapshots,
+    /// The buffers the order's simulation ran in.
+    sim: MakespanScratch,
 }
 
 impl EtfTrace {
@@ -657,6 +660,7 @@ impl EtfInputs<'_> {
             ready,
             scan,
             snapshots,
+            ..
         } = trace;
 
         for step in *resumed_at..n {
@@ -737,7 +741,7 @@ impl EtfInputs<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pesto_graph::{DeviceKind, OpGraph};
+    use pesto_graph::{DeviceKind, GraphError, OpGraph};
 
     fn sim_for<'a>(g: &'a FrozenGraph, c: &'a Cluster) -> Simulator<'a> {
         Simulator::new(g, c, CommModel::default_v100()).with_memory_check(false)
@@ -825,28 +829,51 @@ mod tests {
 
     #[test]
     fn invalid_placement_is_the_simulators_error_not_a_panic() {
-        // A 1-op placement of a 2-op graph, and a placement on a device
-        // the cluster lacks: the ETF pass must not index either.
-        let mut g = OpGraph::new("pair");
+        // A 1-op placement of a 3-op graph and a placement on a device the
+        // cluster lacks, which the ETF pass must not index, and a GPU op
+        // on the CPU and a CPU op on a GPU, which only the simulator's
+        // validation rejects: every entry point, a rescore from a valid
+        // base included, returns the simulator's error.
+        let mut g = OpGraph::new("mixed");
         let a = g.add_op("a", DeviceKind::Gpu, 10.0, 0);
         let b = g.add_op("b", DeviceKind::Gpu, 20.0, 0);
+        let c = g.add_op("c", DeviceKind::Cpu, 5.0, 0);
         g.add_edge(a, b, 256).unwrap();
+        g.add_edge(c, b, 256).unwrap();
         let g = g.freeze().unwrap();
         let cluster = Cluster::two_gpus();
         let comm = CommModel::default_v100();
         let sim = sim_for(&g, &cluster);
         let eval = Evaluator::new(&g, &cluster, comm, false);
-        let mut off_cluster = Placement::uniform(2, cluster.gpu(0));
-        off_cluster.set_device(b, DeviceId::from_index(cluster.device_count()));
-        for placement in [Placement::uniform(1, cluster.gpu(0)), off_cluster] {
+        let base = Placement::affinity_default(&g, &cluster);
+        let (_, base_trace) = eval.score(&base).unwrap();
+        let moved = |op: OpId, dev: DeviceId| {
+            let mut p = base.clone();
+            p.set_device(op, dev);
+            p
+        };
+        let off_cluster = DeviceId::from_index(cluster.device_count());
+        let cases = [
+            (Placement::uniform(1, cluster.gpu(0)), None),
+            (moved(b, off_cluster), None),
+            (moved(a, cluster.cpu()), Some(GraphError::UnknownDevice(0))),
+            (moved(c, cluster.gpu(1)), Some(GraphError::UnknownDevice(2))),
+        ];
+        for (placement, pinned) in cases {
             let want = sim
                 .run(&Plan::placement_only(placement.clone()))
                 .unwrap_err();
             assert!(matches!(want, SimError::InvalidPlan(_)), "{want:?}");
+            if let Some(e) = pinned {
+                assert_eq!(want, SimError::InvalidPlan(e));
+            }
             let got = etf_schedule(&g, &cluster, &comm, placement.clone(), &sim).unwrap_err();
             assert_eq!(got, want);
             assert_eq!(eval.schedule(placement.clone()).unwrap_err(), want);
             assert_eq!(eval.cost(&placement).unwrap_err(), want);
+            let mut trace = EtfTrace::default();
+            let rescored = eval.rescore(&base, &base_trace, &placement, &mut trace);
+            assert_eq!(rescored.unwrap_err(), want);
         }
     }
 
