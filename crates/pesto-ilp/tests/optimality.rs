@@ -134,9 +134,13 @@ proptest! {
 }
 
 /// A deterministic instance where joint placement+scheduling beats
-/// placement-only reasoning — the Figure 2 story end to end.
+/// placement-only reasoning — the Figure 2 story end to end. Branch and
+/// bound does not close the gap on these 8 ops (a 60 s search still
+/// reports a gap of 0.44), so the search stops at a node limit, which
+/// gives the same incumbent on any host, and the test checks that the
+/// incumbent runs the two GPUs in parallel.
 #[test]
-fn figure2_style_instance_is_solved_optimally() {
+fn figure2_style_instance_finds_parallelism() {
     // Mirror of the paper's toy DAG (Fig. 2a): small ops A..E feeding a
     // sink H, heavy ops F, G. Numbers in parentheses are compute times.
     let mut g = OpGraph::new("figure2");
@@ -162,7 +166,10 @@ fn figure2_style_instance_is_solved_optimally() {
     let config = IlpConfig {
         congestion: true,
         memory: MemoryRule::Off,
-        milp: MilpConfig::with_time_limit(Duration::from_secs(60)),
+        milp: MilpConfig {
+            node_limit: 1_000,
+            ..MilpConfig::default()
+        },
     };
     let model = IlpModel::build(&g, &cluster, &comm, &config).unwrap();
     let out = model.solve(&config.milp).unwrap();
