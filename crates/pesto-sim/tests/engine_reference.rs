@@ -7,12 +7,13 @@
 //! this file is that engine and `pesto_sim::Simulator` the current one.
 //! The property: on random DAGs with weight updates (so the K-step
 //! barriers fire), random placements on 2- and 4-GPU clusters (one in
-//! eight with an op off the cluster or on a device of the wrong kind),
-//! ETF, deadlocking and placement-only plans, 1-3 steps, infinite links
-//! on and off, and fault plans with jitter, a straggler, link
-//! degradation, a link stall and an outage, both engines return the same
-//! report or the same error, bit for bit. On the same cases the current
-//! engine's `makespan` returns `run`'s makespan or error.
+//! eight with an op off the cluster or on a device of the wrong kind, and
+//! one in eight without the cluster's last link), ETF, deadlocking and
+//! placement-only plans, 1-3 steps, infinite links on and off, and fault
+//! plans with jitter, a straggler, link degradation, a link stall and an
+//! outage, both engines return the same report or the same error, bit for
+//! bit. On the same cases the current engine's `makespan` returns `run`'s
+//! makespan or error.
 
 use pesto_cost::CommModel;
 use pesto_graph::{Cluster, DeviceId, FrozenGraph, LinkId, OpId, Plan};
@@ -788,7 +789,7 @@ fn build_case(seed: u64) -> Case {
             .expect("ETF schedules the placement")
             .plan
     };
-    let plan = match order {
+    let mut plan = match order {
         Order::Etf => etf(),
         Order::Deadlocking => {
             let etf = etf();
@@ -833,9 +834,13 @@ fn build_case(seed: u64) -> Case {
         f
     });
     let obs = draw(4) == 0;
-    let mut plan = plan;
     if draw(8) == 0 {
         misplace(&mut plan, &graph, &cluster, &mut draw);
+    }
+    // A deserialized cluster can lack a link: one case in eight runs its
+    // plan, scheduled with every link, on a cluster without the last one.
+    if draw(8) == 0 {
+        cluster = without_last_link(&cluster);
     }
     Case {
         seed,
@@ -849,6 +854,14 @@ fn build_case(seed: u64) -> Case {
         faults,
         obs,
     }
+}
+
+/// `cluster` without its last link, the one from the last GPU to the one
+/// before it. Removing the last link leaves every other link's id as is.
+fn without_last_link(cluster: &Cluster) -> Cluster {
+    let json = serde_json::to_string(cluster).expect("a cluster serializes");
+    let cut = json.rfind(",{").expect("the cluster has several links");
+    serde_json::from_str(&format!("{}]}}", &json[..cut])).expect("the cut cluster parses")
 }
 
 /// Moves one op of `plan` where no valid placement puts it: off the
@@ -870,46 +883,64 @@ fn misplace(
     let from = plan.placement.device(op);
     plan.placement.set_device(op, to);
     if let (Some(order), true) = (&mut plan.order, to.index() < cluster.device_count()) {
-        let mut lists: Vec<Vec<OpId>> = (0..order.device_count())
-            .map(|d| order.on_device(DeviceId::from_index(d)).to_vec())
-            .collect();
+        let mut lists = lists(order);
         lists[from.index()].retain(|&o| o != op);
         lists[to.index()].push(op);
         *order = ScheduleOrder::from_vecs(lists);
     }
 }
 
-/// Both engines' results for `case`.
-fn run_both(case: &Case) -> (Result<SimReport, SimError>, Result<SimReport, SimError>) {
-    let comm = CommModel::default_v100();
-    let seed = match case.order {
-        Order::Random(seed) => seed,
-        _ => 0,
-    };
-    let obs = || {
-        if case.obs {
+impl Case {
+    /// The random-ready policy's seed, for plans without an order.
+    fn policy_seed(&self) -> u64 {
+        match self.order {
+            Order::Random(seed) => seed,
+            _ => 0,
+        }
+    }
+
+    fn obs(&self) -> Obs {
+        if self.obs {
             Obs::enabled()
         } else {
             Obs::disabled()
         }
-    };
-    let mut reference = Simulator::new(&case.graph, &case.cluster, comm)
-        .with_seed(seed)
+    }
+
+    /// The current engine with every setting the case draws.
+    fn engine(&self) -> pesto_sim::Simulator<'_> {
+        let sim = pesto_sim::Simulator::new(&self.graph, &self.cluster, CommModel::default_v100())
+            .with_seed(self.policy_seed())
+            .with_memory_check(self.check_memory)
+            .with_steps(self.steps)
+            .with_infinite_links(self.infinite_links)
+            .with_obs(self.obs());
+        match &self.faults {
+            Some(f) => sim.with_faults(f.clone()),
+            None => sim,
+        }
+    }
+}
+
+/// `order`'s per-device lists.
+fn lists(order: &ScheduleOrder) -> Vec<Vec<OpId>> {
+    (0..order.device_count())
+        .map(|d| order.on_device(DeviceId::from_index(d)).to_vec())
+        .collect()
+}
+
+/// Both engines' results for `case`.
+fn run_both(case: &Case) -> (Result<SimReport, SimError>, Result<SimReport, SimError>) {
+    let mut reference = Simulator::new(&case.graph, &case.cluster, CommModel::default_v100())
+        .with_seed(case.policy_seed())
         .with_memory_check(case.check_memory)
         .with_steps(case.steps)
         .with_infinite_links(case.infinite_links)
-        .with_obs(obs());
-    let mut current = pesto_sim::Simulator::new(&case.graph, &case.cluster, comm)
-        .with_seed(seed)
-        .with_memory_check(case.check_memory)
-        .with_steps(case.steps)
-        .with_infinite_links(case.infinite_links)
-        .with_obs(obs());
+        .with_obs(case.obs());
     if let Some(f) = &case.faults {
         reference = reference.with_faults(f.clone());
-        current = current.with_faults(f.clone());
     }
-    (reference.run(&case.plan), current.run(&case.plan))
+    (reference.run(&case.plan), case.engine().run(&case.plan))
 }
 
 /// Checks `Simulator::makespan` against `run` on `case`'s ordered plan,
@@ -918,28 +949,12 @@ fn run_both(case: &Case) -> (Result<SimReport, SimError>, Result<SimReport, SimE
 /// send `makespan` to `run`. Returns the second result, the event loop's,
 /// or `None` for a placement-only plan.
 fn check_makespan(case: &Case, scratch: &mut MakespanScratch) -> Option<Result<f64, SimError>> {
-    let order = case.plan.order.as_ref()?;
-    let lists: Vec<Vec<OpId>> = (0..order.device_count())
-        .map(|d| order.on_device(DeviceId::from_index(d)).to_vec())
-        .collect();
-    let comm = CommModel::default_v100();
-    let plain = pesto_sim::Simulator::new(&case.graph, &case.cluster, comm)
+    let lists = lists(case.plan.order.as_ref()?);
+    let plain = pesto_sim::Simulator::new(&case.graph, &case.cluster, CommModel::default_v100())
         .with_memory_check(false)
         .with_infinite_links(case.infinite_links);
-    let mut configured = pesto_sim::Simulator::new(&case.graph, &case.cluster, comm)
-        .with_memory_check(case.check_memory)
-        .with_steps(case.steps)
-        .with_infinite_links(case.infinite_links)
-        .with_obs(if case.obs {
-            Obs::enabled()
-        } else {
-            Obs::disabled()
-        });
-    if let Some(f) = &case.faults {
-        configured = configured.with_faults(f.clone());
-    }
     let mut got = None;
-    for sim in [configured, plain] {
+    for sim in [case.engine(), plain] {
         let want = sim.run(&case.plan).map(|r| r.makespan_us.to_bits());
         let makespan = sim.makespan(&case.plan.placement, &lists, scratch);
         assert_eq!(
@@ -986,14 +1001,16 @@ fn makespan_is_bit_identical_to_run() {
 /// The generator reaches what the properties are about: pipelined runs
 /// with barriers, every plan kind, faulted runs, and the deadlock (with
 /// the wedged op past the head of its device's list), device loss,
-/// out-of-memory and invalid-plan errors; and `makespan`'s event loop
-/// ends in a makespan, a deadlock and an invalid plan. Each of these
-/// seeds is also checked against the reference and `run`.
+/// out-of-memory, invalid-plan and missing-link errors; and `makespan`'s
+/// event loop ends in a makespan, a deadlock, an invalid plan and a
+/// missing link. Each of these seeds is also checked against the
+/// reference and `run`.
 #[test]
 fn generated_cases_cover_every_outcome() {
     let (mut barriers, mut etf, mut random, mut faulted) = (0, 0, 0, 0);
-    let (mut wedged_mid_list, mut lost, mut oom, mut invalid, mut ok) = (0, 0, 0, 0, 0);
-    let (mut loop_ok, mut loop_deadlock, mut loop_invalid) = (0, 0, 0);
+    let (mut wedged_mid_list, mut lost, mut oom, mut invalid, mut missing, mut ok) =
+        (0, 0, 0, 0, 0, 0);
+    let (mut loop_ok, mut loop_deadlock, mut loop_invalid, mut loop_missing) = (0, 0, 0, 0);
     let mut scratch = MakespanScratch::default();
     for seed in 0..200 {
         let case = build_case(seed);
@@ -1003,6 +1020,7 @@ fn generated_cases_cover_every_outcome() {
             Some(Ok(_)) => loop_ok += 1,
             Some(Err(SimError::Deadlock(_))) => loop_deadlock += 1,
             Some(Err(SimError::InvalidPlan(_))) => loop_invalid += 1,
+            Some(Err(SimError::MissingLink { .. })) => loop_missing += 1,
             _ => {}
         }
         barriers += usize::from(case.steps > 1 && !case.graph.weight_update_ops().is_empty());
@@ -1022,6 +1040,7 @@ fn generated_cases_cover_every_outcome() {
             Err(SimError::DeviceLost { .. }) => lost += 1,
             Err(SimError::OutOfMemory(_)) => oom += 1,
             Err(SimError::InvalidPlan(_)) => invalid += 1,
+            Err(SimError::MissingLink { .. }) => missing += 1,
             Ok(_) => ok += 1,
             Err(_) => {}
         }
@@ -1035,10 +1054,12 @@ fn generated_cases_cover_every_outcome() {
         lost,
         oom,
         invalid,
+        missing,
         ok,
         loop_ok,
         loop_deadlock,
         loop_invalid,
+        loop_missing,
     ];
     assert!(counts.iter().all(|&c| c > 0), "{counts:?}");
 }
